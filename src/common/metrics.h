@@ -26,7 +26,7 @@ namespace metrics {
 ///
 /// Determinism: counters are sums of per-event increments, so any
 /// instrumented computation whose *work* is thread-count independent (the
-/// sharded explorer, the chunked pair sweep) produces byte-identical
+/// work-stealing explorer, the chunked pair sweep) produces byte-identical
 /// counter sections in MetricsToJson for any thread count. Latency
 /// histograms and wall-time gauges are explicitly excluded from that
 /// contract.

@@ -1,5 +1,7 @@
 #include "rulelang/parser.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 #include "rulelang/lexer.h"
 
@@ -80,6 +82,25 @@ Status Parser::ErrorHere(const std::string& message) const {
   if (t.text.empty()) got = TokenTypeToString(t.type);
   return Status::ParseError(message + " at line " + std::to_string(t.line) +
                             ", got " + got);
+}
+
+Status Parser::EnterNesting() {
+  if (nesting_ >= kMaxExprDepth) return DepthError();
+  ++nesting_;
+  return Status::OK();
+}
+
+Status Parser::SetHeight(int height) {
+  height_ = height;
+  if (height > kMaxExprDepth) return DepthError();
+  return Status::OK();
+}
+
+Status Parser::DepthError() const {
+  return Status::LimitExceeded("expression nesting exceeds " +
+                               std::to_string(kMaxExprDepth) +
+                               " levels at line " +
+                               std::to_string(Peek().line));
 }
 
 Result<Script> Parser::ParseScript(std::string_view source) {
@@ -246,8 +267,10 @@ Result<StmtPtr> Parser::CreateTable_() {
 Result<SelectPtr> Parser::Select_() {
   STARBURST_RETURN_IF_ERROR(ExpectKeyword("select"));
   auto select = std::make_unique<SelectStmt>();
+  int height = 0;
   do {
     STARBURST_ASSIGN_OR_RETURN(SelectItem item, SelectItem_());
+    height = std::max(height, height_);
     select->items.push_back(std::move(item));
   } while (Match(TokenType::kComma));
   STARBURST_RETURN_IF_ERROR(ExpectKeyword("from"));
@@ -257,11 +280,14 @@ Result<SelectPtr> Parser::Select_() {
   } while (Match(TokenType::kComma));
   if (MatchKeyword("where")) {
     STARBURST_ASSIGN_OR_RETURN(select->where, Expr_());
+    height = std::max(height, height_);
   }
+  height_ = height;
   return select;
 }
 
 Result<SelectItem> Parser::SelectItem_() {
+  height_ = 0;  // star items carry no expression
   if (Match(TokenType::kStar)) {
     return SelectItem(AggFunc::kNone, /*star=*/true, nullptr);
   }
@@ -384,13 +410,25 @@ Result<StmtPtr> Parser::Update_() {
   return MakeUpdate(std::move(table), std::move(assignments), std::move(where));
 }
 
-Result<ExprPtr> Parser::Expr_() { return OrExpr_(); }
+// Every expression production leaves the height of the tree it returns in
+// `height_`; each node built checks its height through SetHeight, so a tree
+// never grows past kMaxExprDepth. Recursive productions (Expr_, `not`,
+// unary minus) also bound the parser's own recursion via EnterNesting.
+
+Result<ExprPtr> Parser::Expr_() {
+  STARBURST_RETURN_IF_ERROR(EnterNesting());
+  Result<ExprPtr> expr = OrExpr_();
+  LeaveNesting();
+  return expr;
+}
 
 Result<ExprPtr> Parser::OrExpr_() {
   STARBURST_ASSIGN_OR_RETURN(ExprPtr left, AndExpr_());
   while (MatchKeyword("or")) {
+    int left_height = height_;
     STARBURST_ASSIGN_OR_RETURN(ExprPtr right, AndExpr_());
     left = MakeBinary(BinaryOp::kOr, std::move(left), std::move(right));
+    STARBURST_RETURN_IF_ERROR(SetHeight(std::max(left_height, height_) + 1));
   }
   return left;
 }
@@ -398,16 +436,22 @@ Result<ExprPtr> Parser::OrExpr_() {
 Result<ExprPtr> Parser::AndExpr_() {
   STARBURST_ASSIGN_OR_RETURN(ExprPtr left, NotExpr_());
   while (MatchKeyword("and")) {
+    int left_height = height_;
     STARBURST_ASSIGN_OR_RETURN(ExprPtr right, NotExpr_());
     left = MakeBinary(BinaryOp::kAnd, std::move(left), std::move(right));
+    STARBURST_RETURN_IF_ERROR(SetHeight(std::max(left_height, height_) + 1));
   }
   return left;
 }
 
 Result<ExprPtr> Parser::NotExpr_() {
   if (MatchKeyword("not")) {
-    STARBURST_ASSIGN_OR_RETURN(ExprPtr operand, NotExpr_());
-    return MakeUnary(UnaryOp::kNot, std::move(operand));
+    STARBURST_RETURN_IF_ERROR(EnterNesting());
+    Result<ExprPtr> operand = NotExpr_();
+    LeaveNesting();
+    if (!operand.ok()) return operand.status();
+    STARBURST_RETURN_IF_ERROR(SetHeight(height_ + 1));
+    return MakeUnary(UnaryOp::kNot, std::move(operand).value());
   }
   return Predicate_();
 }
@@ -417,12 +461,15 @@ Result<ExprPtr> Parser::Predicate_() {
     STARBURST_RETURN_IF_ERROR(Expect(TokenType::kLParen, "'('"));
     STARBURST_ASSIGN_OR_RETURN(SelectPtr sel, Select_());
     STARBURST_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
+    STARBURST_RETURN_IF_ERROR(SetHeight(height_ + 1));
     return MakeExists(std::move(sel));
   }
   STARBURST_ASSIGN_OR_RETURN(ExprPtr left, Additive_());
+  const int left_height = height_;
   if (MatchKeyword("is")) {
     bool negated = MatchKeyword("not");
     STARBURST_RETURN_IF_ERROR(ExpectKeyword("null"));
+    STARBURST_RETURN_IF_ERROR(SetHeight(left_height + 1));
     return MakeUnary(negated ? UnaryOp::kIsNotNull : UnaryOp::kIsNull,
                      std::move(left));
   }
@@ -432,12 +479,14 @@ Result<ExprPtr> Parser::Predicate_() {
     STARBURST_RETURN_IF_ERROR(Expect(TokenType::kLParen, "'('"));
     STARBURST_ASSIGN_OR_RETURN(SelectPtr sel, Select_());
     STARBURST_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
+    STARBURST_RETURN_IF_ERROR(SetHeight(std::max(left_height, height_) + 2));
     return MakeUnary(UnaryOp::kNot, MakeIn(std::move(left), std::move(sel)));
   }
   if (MatchKeyword("in")) {
     STARBURST_RETURN_IF_ERROR(Expect(TokenType::kLParen, "'('"));
     STARBURST_ASSIGN_OR_RETURN(SelectPtr sel, Select_());
     STARBURST_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
+    STARBURST_RETURN_IF_ERROR(SetHeight(std::max(left_height, height_) + 1));
     return MakeIn(std::move(left), std::move(sel));
   }
   BinaryOp op;
@@ -469,6 +518,7 @@ Result<ExprPtr> Parser::Predicate_() {
   if (has_cmp) {
     Advance();
     STARBURST_ASSIGN_OR_RETURN(ExprPtr right, Additive_());
+    STARBURST_RETURN_IF_ERROR(SetHeight(std::max(left_height, height_) + 1));
     return MakeBinary(op, std::move(left), std::move(right));
   }
   return left;
@@ -479,8 +529,10 @@ Result<ExprPtr> Parser::Additive_() {
   while (Check(TokenType::kPlus) || Check(TokenType::kMinus)) {
     BinaryOp op = Check(TokenType::kPlus) ? BinaryOp::kAdd : BinaryOp::kSub;
     Advance();
+    int left_height = height_;
     STARBURST_ASSIGN_OR_RETURN(ExprPtr right, Term_());
     left = MakeBinary(op, std::move(left), std::move(right));
+    STARBURST_RETURN_IF_ERROR(SetHeight(std::max(left_height, height_) + 1));
   }
   return left;
 }
@@ -493,21 +545,28 @@ Result<ExprPtr> Parser::Term_() {
                   : Check(TokenType::kSlash) ? BinaryOp::kDiv
                                              : BinaryOp::kMod;
     Advance();
+    int left_height = height_;
     STARBURST_ASSIGN_OR_RETURN(ExprPtr right, Factor_());
     left = MakeBinary(op, std::move(left), std::move(right));
+    STARBURST_RETURN_IF_ERROR(SetHeight(std::max(left_height, height_) + 1));
   }
   return left;
 }
 
 Result<ExprPtr> Parser::Factor_() {
   if (Match(TokenType::kMinus)) {
-    STARBURST_ASSIGN_OR_RETURN(ExprPtr operand, Factor_());
-    return MakeUnary(UnaryOp::kNeg, std::move(operand));
+    STARBURST_RETURN_IF_ERROR(EnterNesting());
+    Result<ExprPtr> operand = Factor_();
+    LeaveNesting();
+    if (!operand.ok()) return operand.status();
+    STARBURST_RETURN_IF_ERROR(SetHeight(height_ + 1));
+    return MakeUnary(UnaryOp::kNeg, std::move(operand).value());
   }
   return Primary_();
 }
 
 Result<ExprPtr> Parser::Primary_() {
+  height_ = 1;  // leaves; the parenthesized cases below overwrite it
   const Token& tok = Peek();
   switch (tok.type) {
     case TokenType::kIntLiteral: {
@@ -530,6 +589,7 @@ Result<ExprPtr> Parser::Primary_() {
       if (CheckKeyword("select")) {
         STARBURST_ASSIGN_OR_RETURN(SelectPtr sel, Select_());
         STARBURST_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
+        STARBURST_RETURN_IF_ERROR(SetHeight(height_ + 1));
         return MakeScalarSubquery(std::move(sel));
       }
       STARBURST_ASSIGN_OR_RETURN(ExprPtr inner, Expr_());

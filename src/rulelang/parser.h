@@ -20,6 +20,18 @@ namespace starburst {
 /// consumed.
 class Parser {
  public:
+  /// Bound on expression nesting. It caps both the parser's own recursion
+  /// (parentheses, subqueries, `not`, unary minus) and the height of every
+  /// expression tree it builds, where each operator of a left-deep binary
+  /// chain (`a + b + c`, `p or q or r`) adds one level. Deeper input fails
+  /// with Status::LimitExceeded before the tree grows past the bound, so
+  /// no recursive pass over a parsed AST (destruction, evaluation,
+  /// printing, analysis) can exhaust the stack. Each parenthesized level
+  /// costs about nine parser frames; 256 levels stay well inside a
+  /// thread's 8 MB stack even in a sanitized debug build, where 1000 do
+  /// not, and are far above what hand-written rules nest.
+  static constexpr int kMaxExprDepth = 256;
+
   /// Parses a script of interleaved `create table`, `create rule`, and DML
   /// statements separated by semicolons (trailing semicolon optional).
   ///
@@ -77,8 +89,24 @@ class Parser {
   /// True when the current token can start a DML/DDL statement.
   bool AtStatementStart() const;
 
+  /// Enters one level of recursive descent, failing past kMaxExprDepth;
+  /// on success the caller runs LeaveNesting() once the nested production
+  /// returns.
+  Status EnterNesting();
+  void LeaveNesting() { --nesting_; }
+  /// Records `height` as the height of the expression just built and
+  /// fails once it passes kMaxExprDepth.
+  Status SetHeight(int height);
+  Status DepthError() const;
+
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  /// Current recursive-descent depth through the expression grammar.
+  int nesting_ = 0;
+  /// Height of the expression most recently returned by an expression
+  /// production (a leaf is 1); after Select_(), the tallest expression in
+  /// the select (0 when it has none).
+  int height_ = 0;
 };
 
 }  // namespace starburst

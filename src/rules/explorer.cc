@@ -16,7 +16,6 @@
 #include "analysis/commutativity.h"
 #include "common/metrics.h"
 #include "common/striped_set.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "common/work_stealing.h"
 #include "engine/exec.h"
@@ -36,11 +35,6 @@ std::string ObservableStreamToString(const std::vector<ObservableEvent>& stream)
 }
 
 namespace {
-
-/// Serializes an observable stream for set-of-streams comparison.
-std::string StreamToString(const std::vector<ObservableEvent>& stream) {
-  return ObservableStreamToString(stream);
-}
 
 /// Interns canonical state strings to dense uint32 ids. Keys are looked up
 /// by their 64-bit FNV-1a hash; colliding keys are chained and verified by
@@ -144,37 +138,11 @@ Hash128 StateFingerprintUndo(const RuleProcessingState& state) {
   return fp;
 }
 
-/// Canonical key of an execution state (database + per-rule pending
-/// transitions). `*db_len` receives the length of the database prefix,
-/// which doubles as the final-state fingerprint. Shared by the classic
-/// explorer's per-visit key builder and the sharded root key.
-std::string CanonicalStateKey(const RuleProcessingState& state,
-                              size_t* db_len, size_t reserve_hint = 0) {
-  std::string key;
-  key.reserve(reserve_hint);
-  state.db.AppendCanonicalString(&key);
-  *db_len = key.size();
-  key += '#';
-  for (const Transition& t : state.pending) {
-    t.AppendCanonicalString(&key);
-    key += '|';
-  }
-  return key;
-}
-
 /// Inclusive upper edges for the explorer.revert_depth histogram (DFS
 /// stack depth at each undo-log revert).
 const std::vector<int64_t>& RevertDepthBounds() {
   static const std::vector<int64_t>* bounds =
       new std::vector<int64_t>{1, 2, 4, 8, 16, 32, 64};
-  return *bounds;
-}
-
-/// Inclusive upper edges for the explorer.shard_states histogram (states
-/// visited per top-level shard in sharded mode).
-const std::vector<int64_t>& ShardStatesBounds() {
-  static const std::vector<int64_t>* bounds = new std::vector<int64_t>{
-      1, 10, 100, 1000, 10000, 100000};
   return *bounds;
 }
 
@@ -214,7 +182,7 @@ bool PorEnabled(const ExplorerOptions& options) {
 }
 
 /// Per-rule partial-order-reduction safety, computed ONCE per exploration
-/// and shared read-only across shards. safe[r] holds when expanding r
+/// and shared read-only across workers. safe[r] holds when expanding r
 /// FIRST provably reaches the same final states, observable streams, and
 /// termination verdict as every order that defers r:
 ///   - r commutes with every other catalog rule (the Lemma 6.1 syntactic
@@ -268,8 +236,7 @@ void ReduceEligible(const std::vector<bool>* por_safe,
 class ExplorerImpl {
  public:
   /// `por_safe` is the precomputed POR safety bitvector (see PorSafeRules),
-  /// or nullptr when reduction is off; it is shared read-only across every
-  /// shard of a sharded exploration.
+  /// or nullptr when reduction is off.
   ExplorerImpl(const RuleCatalog& catalog, const Database& initial_db,
                const ExplorerOptions& options,
                const std::vector<bool>* por_safe = nullptr)
@@ -281,62 +248,19 @@ class ExplorerImpl {
 
   Result<ExplorationResult> Run(const Transition& initial_transition) {
     auto start = std::chrono::steady_clock::now();
-    {
-      RuleProcessingState state(&catalog_.schema(), catalog_.num_rules());
-      state.db = initial_db_;
-      for (Transition& t : state.pending) t = initial_transition;
-      if (undo_) {
-        // The one database copy of the whole exploration: every branch
-        // below steps it forward and reverts it via the undo log.
-        cur_.emplace(std::move(state));
-        cur_->pending_undo = &pending_undo_;
-        EnterUndo(kNoParent, /*via=*/-1, /*restore_stream=*/0,
-                  /*delta_open=*/false);
-      } else {
-        Enter(std::move(state), kNoParent, /*via=*/-1, /*restore_stream=*/0);
-      }
-    }
-    return Drive(start);
-  }
-
-  /// Sharded-mode seeding: interns the parent (root) state's key and marks
-  /// it visited and on-path WITHOUT counting it, so a path looping back to
-  /// the root is detected as a cycle exactly like in the classic explorer
-  /// while the root itself is accounted once by the merge.
-  void SeedRootOnPath(std::string root_key) {
-    auto [id, fresh] = interner_.Intern(std::move(root_key));
-    (void)fresh;
-    SetBit(&visited_, id, true);
-    SetBit(&on_path_, id, true);
-  }
-
-  /// Fingerprint analogue of SeedRootOnPath for the undo-log backend.
-  void SeedRootOnPathFp(const Hash128& root_fp) {
-    auto [id, fresh] = fp_interner_.Intern(root_fp);
-    (void)fresh;
-    SetBit(&visited_, id, true);
-    SetBit(&on_path_, id, true);
-  }
-
-  /// Sharded-mode seeding: the observable events of the top-level rule
-  /// consideration that produced this shard's start state. They prefix
-  /// every stream the shard records.
-  void SeedStream(const std::vector<ObservableEvent>& prefix) {
-    stream_ = prefix;
-  }
-
-  /// Sharded-mode entry: explores the subtree rooted at `state` (the state
-  /// one top-level consideration below the seeded root).
-  Result<ExplorationResult> RunFromState(RuleProcessingState&& state) {
-    auto start = std::chrono::steady_clock::now();
+    RuleProcessingState state(&catalog_.schema(), catalog_.num_rules());
+    state.db = initial_db_;
+    for (Transition& t : state.pending) t = initial_transition;
     if (undo_) {
+      // The one database copy of the whole exploration: every branch
+      // below steps it forward and reverts it via the undo log.
       cur_.emplace(std::move(state));
       cur_->pending_undo = &pending_undo_;
-      EnterUndo(kNoParent, /*via=*/-1, /*restore_stream=*/stream_.size(),
-                /*delta_open=*/false);
+      Enter(&*cur_, kNoParent, /*via=*/-1, /*restore_stream=*/0,
+            /*delta_open=*/false);
     } else {
-      Enter(std::move(state), kNoParent, /*via=*/-1,
-            /*restore_stream=*/stream_.size());
+      Enter(&state, kNoParent, /*via=*/-1, /*restore_stream=*/0,
+            /*delta_open=*/false);
     }
     return Drive(start);
   }
@@ -357,40 +281,28 @@ class ExplorerImpl {
       }
       RuleIndex r = f.eligible[f.next_child++];
       ++result_.steps_taken;
-      bool last_child = f.next_child == f.eligible.size();
+      // Undo-log backend: the live state already sits at this frame, and
+      // the child's database delta and pending mutations are reverted via
+      // the undo logs, so nothing is copied or restored per child.
+      // Snapshot-copy backend: the frame's state feeds each child in turn;
+      // the last child steals it instead of copying (PopFrame never reads
+      // it), so chains of single-eligible states — the common fixpoint
+      // shape — expand with zero database copies.
+      std::optional<RuleProcessingState> copy;
+      RuleProcessingState* state;
       if (undo_) {
-        // The live state already sits at this frame: children revert their
-        // database deltas AND their pending mutations (via the pending
-        // undo log), so nothing is copied or restored per child.
         pending_undo_.Mark();
         cur_->db.BeginDelta();
-        auto step = ConsiderRule(catalog_, &*cur_, r);
-        if (!step.ok()) return step.status();
-        size_t mark = stream_.size();
-        if (!options_.dedup_subtrees) {
-          for (const ObservableEvent& ev : step.value().observables) {
-            stream_.push_back(ev);
-          }
-        }
-        if (step.value().rollback) {
-          // Transaction aborted: final database is the initial database.
-          cur_->db.RevertDelta();
-          pending_undo_.RevertToMark();
-          NoteRevert();
-          EnterRollback(top, r);
-          stream_.resize(mark);
+        state = &*cur_;
+      } else {
+        if (f.next_child == f.eligible.size()) {
+          copy.emplace(std::move(*f.state));
         } else {
-          EnterUndo(top, r, mark, /*delta_open=*/true);  // may invalidate `f`
+          copy.emplace(*f.state);
         }
-        continue;
+        state = &*copy;
       }
-      // Snapshot-copy backend: the frame's state feeds each child in turn;
-      // the last child can steal it instead of copying (PopFrame never
-      // reads it). Chains of single-eligible states — the common fixpoint
-      // shape — therefore expand with zero database copies.
-      RuleProcessingState next =
-          last_child ? std::move(*f.state) : *f.state;
-      auto step = ConsiderRule(catalog_, &next, r);
+      auto step = ConsiderRule(catalog_, state, r);
       if (!step.ok()) return step.status();
       size_t mark = stream_.size();
       if (!options_.dedup_subtrees) {
@@ -400,10 +312,11 @@ class ExplorerImpl {
       }
       if (step.value().rollback) {
         // Transaction aborted: final database is the initial database.
+        if (undo_) RevertStep();
         EnterRollback(top, r);
         stream_.resize(mark);
       } else {
-        Enter(std::move(next), top, r, mark);  // may invalidate `f`
+        Enter(state, top, r, mark, /*delta_open=*/undo_);  // may invalidate `f`
       }
     }
     result_.states_visited = visited_count_;
@@ -416,7 +329,6 @@ class ExplorerImpl {
     return std::move(result_);
   }
 
- private:
   static constexpr size_t kNoParent = static_cast<size_t>(-1);
   static constexpr int kNodeUnassigned = -2;
 
@@ -424,9 +336,9 @@ class ExplorerImpl {
     /// Snapshot-copy backend: the frame's full state (absent in undo mode).
     std::optional<RuleProcessingState> state;
     /// Undo-log backend: true when this frame holds an open delta on
-    /// `cur_->db` plus a matching pending-undo mark (every frame except a
-    /// path root); PopFrame reverts both. The frame stores no state of its
-    /// own — `cur_` is stepped forward and reverted in place.
+    /// `cur_->db` plus a matching pending-undo mark (every frame except the
+    /// root); PopFrame reverts both. The frame stores no state of its own
+    /// — `cur_` is stepped forward and reverted in place.
     bool owns_delta = false;
     uint32_t id = 0;
     int node = -1;
@@ -442,17 +354,30 @@ class ExplorerImpl {
     bool tainted = false;
   };
 
-  /// Canonical key of an execution state (database + per-rule pending
-  /// transitions), built once per visit into a single buffer. Rid-sensitive,
-  /// so logically identical states reached with different tuple identities
-  /// get distinct keys — that only costs extra exploration, never wrong
-  /// results. `*db_len` receives the length of the database prefix, which
-  /// doubles as the final-state fingerprint.
-  std::string BuildStateKey(const RuleProcessingState& state,
-                            size_t* db_len) {
-    std::string key = CanonicalStateKey(state, db_len, last_key_size_ + 32);
+  /// Interns an execution state (database + per-rule pending transitions)
+  /// and returns {dense id, true when freshly interned}. The undo-log
+  /// backend keys it by its incremental fingerprint and renders nothing.
+  /// The snapshot-copy backend builds its canonical string once per visit
+  /// into a single buffer; `*db_len` receives the length of the database
+  /// prefix, which doubles as the final-state key. That key is
+  /// rid-sensitive, so logically identical states reached with different
+  /// tuple identities get distinct keys — that only costs extra
+  /// exploration, never wrong results.
+  std::pair<uint32_t, bool> InternState(const RuleProcessingState& state,
+                                        size_t* db_len) {
+    if (undo_) return fp_interner_.Intern(StateFingerprintUndo(state));
+    std::string key;
+    key.reserve(last_key_size_ + 32);
+    state.db.AppendCanonicalString(&key);
+    *db_len = key.size();
+    key += '#';
+    for (const Transition& t : state.pending) {
+      t.AppendCanonicalString(&key);
+      key += '|';
+    }
     last_key_size_ = key.size();
-    return key;
+    result_.stats.canonicalization_bytes += static_cast<long>(key.size());
+    return interner_.Intern(std::move(key));
   }
 
   void MarkVisited(uint32_t id) {
@@ -462,11 +387,15 @@ class ExplorerImpl {
     }
   }
 
-  /// Counts an undo-log revert and records the DFS depth it happened at.
-  /// The per-event histogram Record is the only per-step registry write in
-  /// the explorer (everything else flushes once at end of run), and it is
-  /// gated on metrics::Enabled() inside the macro.
-  void NoteRevert() {
+  /// Undo-log backend: reverts the open step on `cur_` — its database
+  /// delta and its pending-transition mutations — and records the DFS
+  /// depth it happened at. The per-event histogram Record is the only
+  /// per-step registry write in the explorer (everything else flushes once
+  /// at end of run), and it is gated on metrics::Enabled() inside the
+  /// macro.
+  void RevertStep() {
+    cur_->db.RevertDelta();
+    pending_undo_.RevertToMark();
     ++result_.stats.delta_reverts;
     STARBURST_METRIC_HISTOGRAM("explorer.revert_depth", RevertDepthBounds(),
                                static_cast<int64_t>(stack_.size()));
@@ -500,7 +429,7 @@ class ExplorerImpl {
   /// incomplete — only a NEW stream that would exceed max_streams does.
   void RecordStream() {
     if (options_.dedup_subtrees) return;
-    std::string s = StreamToString(stream_);
+    std::string s = ObservableStreamToString(stream_);
     if (static_cast<int>(result_.observable_streams.size()) <
         options_.max_streams) {
       result_.observable_streams.insert(std::move(s));
@@ -509,36 +438,39 @@ class ExplorerImpl {
     }
   }
 
-  /// Records a final database (by canonical fingerprint) and the path's
-  /// observable stream.
-  uint32_t RecordFinal(std::string db_key, const Database& db) {
-    auto [it, fresh] = final_ids_.try_emplace(
-        db_key, static_cast<uint32_t>(final_ids_.size()));
+  /// Records a final database and the path's observable stream; returns
+  /// the final's dense id. The snapshot-copy backend deduplicates finals
+  /// by `db_key`, the canonical string it already rendered. The undo-log
+  /// backend ignores `db_key`, deduplicates by content fingerprint, and
+  /// renders the canonical string only for a FRESH fingerprint — the whole
+  /// point of the backend is that revisited finals cost O(1), not
+  /// O(database).
+  uint32_t RecordFinal(const Database& db, std::string db_key) {
+    uint32_t fid;
+    bool fresh;
+    if (undo_) {
+      auto [it, inserted] = final_fp_ids_.try_emplace(
+          db.ContentFingerprint(),
+          static_cast<uint32_t>(final_fp_ids_.size()));
+      fid = it->second;
+      fresh = inserted;
+      if (fresh) {
+        db_key = db.CanonicalString();
+        result_.stats.canonicalization_bytes +=
+            static_cast<long>(db_key.size());
+      }
+    } else {
+      auto [it, inserted] = final_ids_.try_emplace(
+          db_key, static_cast<uint32_t>(final_ids_.size()));
+      fid = it->second;
+      fresh = inserted;
+    }
     if (fresh) {
       result_.final_states.insert(db_key);
       result_.final_databases.emplace(std::move(db_key), db);
     }
     RecordStream();
-    return it->second;
-  }
-
-  /// Undo-backend analogue of RecordFinal: final databases are deduplicated
-  /// by content fingerprint, and the reported canonical string is rendered
-  /// only for FRESH fingerprints — the whole point of the backend is that
-  /// revisited finals cost O(1), not O(database).
-  uint32_t RecordFinalUndo(const Database& db) {
-    auto [it, fresh] = final_fp_ids_.try_emplace(
-        db.ContentFingerprint(),
-        static_cast<uint32_t>(final_fp_ids_.size()));
-    if (fresh) {
-      std::string db_key = db.CanonicalString();
-      result_.stats.canonicalization_bytes +=
-          static_cast<long>(db_key.size());
-      result_.final_states.insert(db_key);
-      result_.final_databases.emplace(std::move(db_key), db);
-    }
-    RecordStream();
-    return it->second;
+    return fid;
   }
 
   void AddFinal(size_t parent, uint32_t final_id) {
@@ -560,109 +492,33 @@ class ExplorerImpl {
     memo_finals_.emplace(id, std::vector<uint32_t>{final_id});
   }
 
-  /// Evaluates one execution state: interns it, records the incoming edge,
-  /// and either handles it terminally (cycle / memo hit / final / budget /
-  /// depth) or pushes a DFS frame for expansion. `restore_stream` is the
-  /// stream length to restore once the state's subtree is done (terminal
-  /// states restore it immediately).
-  void Enter(RuleProcessingState&& state, size_t parent, RuleIndex via,
-             size_t restore_stream) {
+  /// Evaluates one execution state — `cur_` in the undo-log backend, the
+  /// freshly stepped copy in the snapshot-copy backend: interns it, records
+  /// the incoming edge, and either handles it terminally (cycle / memo hit
+  /// / final / budget / depth) or pushes a DFS frame for expansion.
+  /// `restore_stream` is the stream length to restore once the state's
+  /// subtree is done. Every terminal outcome undoes what the caller set up,
+  /// which `leave()` centralizes: revert the step's open delta (undo-log
+  /// backend, `delta_open`) and roll the stream back. A pushed frame
+  /// instead OWNS the open delta (PopFrame reverts it) or, in the
+  /// snapshot-copy backend, takes `*state`.
+  void Enter(RuleProcessingState* state, size_t parent, RuleIndex via,
+             size_t restore_stream, bool delta_open) {
     size_t db_len = 0;
-    std::string key = BuildStateKey(state, &db_len);
-    result_.stats.canonicalization_bytes += static_cast<long>(key.size());
-    auto [id, fresh] = interner_.Intern(std::move(key));
+    auto [id, fresh] = InternState(*state, &db_len);
     if (!fresh) ++result_.stats.interner_hits;
     int node = GraphNode(id);
     if (parent != kNoParent) RecordEdge(stack_[parent].node, node, via);
+    auto leave = [&] {
+      if (delta_open) RevertStep();
+      stream_.resize(restore_stream);
+    };
     if (!fresh && TestBit(on_path_, id)) {
       // A cycle in the execution graph: an infinitely long path exists.
       // The cycle target's subtree is still being enumerated, so every
       // ancestor's reachable-final memo is incomplete.
       result_.may_not_terminate = true;
       Taint(parent);
-      stream_.resize(restore_stream);
-      return;
-    }
-    MarkVisited(id);
-    if (options_.dedup_subtrees && TestBit(memo_black_, id)) {
-      ++result_.stats.dedup_hits;
-      if (parent != kNoParent) {
-        auto it = memo_finals_.find(id);
-        if (it != memo_finals_.end()) {
-          Frame& pf = stack_[parent];
-          pf.reached_finals.insert(pf.reached_finals.end(),
-                                   it->second.begin(), it->second.end());
-        }
-      }
-      stream_.resize(restore_stream);
-      return;
-    }
-    std::vector<RuleIndex> triggered = TriggeredRules(catalog_, state);
-    if (triggered.empty()) {
-      if (node >= 0) result_.node_is_final[node] = true;
-      uint32_t fid = RecordFinal(interner_.key(id).substr(0, db_len),
-                                 state.db);
-      AddFinal(parent, fid);
-      MemoizeFinal(id, fid);
-      stream_.resize(restore_stream);
-      return;
-    }
-    // The budget check comes AFTER the final-state check: a rule-free
-    // state reached exactly as the budget trips is still a real final
-    // state and must be recorded, not dropped.
-    if (result_.steps_taken >= options_.max_total_steps) {
-      result_.complete = false;
-      Taint(parent);
-      stream_.resize(restore_stream);
-      return;
-    }
-    if (static_cast<int>(stack_.size()) >= options_.max_depth) {
-      result_.complete = false;
-      result_.may_not_terminate = true;  // conservative
-      Taint(parent);
-      stream_.resize(restore_stream);
-      return;
-    }
-    SetBit(&on_path_, id, true);
-    Frame frame;
-    frame.state.emplace(std::move(state));
-    frame.id = id;
-    frame.node = node;
-    frame.eligible = EligibleRules(catalog_, triggered);
-    ReduceEligible(por_safe_, &frame.eligible,
-                   &result_.stats.por_pruned_orders);
-    frame.restore_stream = restore_stream;
-    stack_.push_back(std::move(frame));
-    result_.stats.peak_stack_depth = std::max(
-        result_.stats.peak_stack_depth, static_cast<int>(stack_.size()));
-  }
-
-  /// Undo-backend analogue of Enter(): evaluates the state currently held
-  /// in `cur_` (the one live database) without keying it by canonical
-  /// string — the incremental fingerprint is the intern key. Every terminal
-  /// outcome must undo what the caller set up, which `leave()` centralizes:
-  /// revert this step's delta (when one is open) and roll the stream back.
-  /// Non-terminal states instead push a frame that OWNS the open delta;
-  /// PopFrame reverts it when the subtree is done.
-  void EnterUndo(size_t parent, RuleIndex via, size_t restore_stream,
-                 bool delta_open) {
-    Hash128 fp = StateFingerprintUndo(*cur_);
-    auto [id, fresh] = fp_interner_.Intern(fp);
-    if (!fresh) ++result_.stats.interner_hits;
-    int node = GraphNode(id);
-    if (parent != kNoParent) RecordEdge(stack_[parent].node, node, via);
-    auto leave = [&] {
-      if (delta_open) {
-        cur_->db.RevertDelta();
-        pending_undo_.RevertToMark();
-        NoteRevert();
-      }
-      stream_.resize(restore_stream);
-    };
-    if (!fresh && TestBit(on_path_, id)) {
-      // A cycle in the execution graph: an infinitely long path exists.
-      result_.may_not_terminate = true;
-      Taint(parent);
       leave();
       return;
     }
@@ -680,10 +536,12 @@ class ExplorerImpl {
       leave();
       return;
     }
-    std::vector<RuleIndex> triggered = TriggeredRules(catalog_, *cur_);
+    std::vector<RuleIndex> triggered = TriggeredRules(catalog_, *state);
     if (triggered.empty()) {
       if (node >= 0) result_.node_is_final[node] = true;
-      uint32_t fid = RecordFinalUndo(cur_->db);
+      uint32_t fid = RecordFinal(
+          state->db,
+          undo_ ? std::string() : interner_.key(id).substr(0, db_len));
       AddFinal(parent, fid);
       MemoizeFinal(id, fid);
       leave();
@@ -707,6 +565,7 @@ class ExplorerImpl {
     }
     SetBit(&on_path_, id, true);
     Frame frame;
+    if (!undo_) frame.state.emplace(std::move(*state));
     frame.owns_delta = delta_open;
     frame.id = id;
     frame.node = node;
@@ -744,8 +603,7 @@ class ExplorerImpl {
     int node = GraphNode(rollback_id_);
     if (node >= 0) result_.node_is_final[node] = true;
     RecordEdge(stack_[parent].node, node, via);
-    uint32_t fid = undo_ ? RecordFinalUndo(initial_db_)
-                         : RecordFinal(rollback_db_key_, initial_db_);
+    uint32_t fid = RecordFinal(initial_db_, rollback_db_key_);
     AddFinal(parent, fid);
     MemoizeFinal(rollback_id_, fid);
   }
@@ -753,11 +611,7 @@ class ExplorerImpl {
   void PopFrame() {
     Frame& f = stack_.back();
     SetBit(&on_path_, f.id, false);
-    if (undo_ && f.owns_delta) {
-      cur_->db.RevertDelta();
-      pending_undo_.RevertToMark();
-      NoteRevert();
-    }
+    if (f.owns_delta) RevertStep();
     if (options_.dedup_subtrees) {
       if (!f.tainted) {
         std::sort(f.reached_finals.begin(), f.reached_finals.end());
@@ -785,9 +639,10 @@ class ExplorerImpl {
   /// POR safety bitvector (nullptr when reduction is off).
   const std::vector<bool>* por_safe_;
   /// True for ExplorerOptions::StateBackend::kUndoLog.
-  bool undo_;
+  const bool undo_;
   ExplorationResult result_;
 
+  /// Snapshot-copy backend: canonical state keys.
   StateInterner interner_;
   /// Undo backend: the one live state the whole DFS steps forward and
   /// reverts — the database via its own delta log, the pending
@@ -796,6 +651,7 @@ class ExplorerImpl {
   /// Undo backend: inverse log for `cur_->pending` mutations; one mark per
   /// rule consideration, reverted wherever the step's db delta is.
   TransitionUndoLog pending_undo_;
+  /// Undo backend: state fingerprints.
   FingerprintInterner fp_interner_;
   /// Undo backend: final databases, content fingerprint -> dense final id.
   std::unordered_map<Hash128, uint32_t, Hash128Hasher> final_fp_ids_;
@@ -810,7 +666,7 @@ class ExplorerImpl {
   std::vector<int> graph_node_;
   int next_graph_node_ = 0;
 
-  // Final databases: canonical fingerprint -> dense final id.
+  // Snapshot-copy backend: final databases, canonical string -> dense id.
   std::unordered_map<std::string, uint32_t> final_ids_;
 
   // Dedup-subtrees memo: black = subtree fully enumerated; finals =
@@ -821,19 +677,20 @@ class ExplorerImpl {
   // Synthetic rollback state (interned lazily on the first rollback path).
   bool rollback_interned_ = false;
   uint32_t rollback_id_ = 0;
-  std::string rollback_db_key_;
+  std::string rollback_db_key_;  // snapshot-copy backend only
 };
 
 /// ------------------- Work-stealing parallel exploration -------------------
 ///
-/// ExplorerOptions::num_threads >= 2 without dedup_subtrees / record_graph.
-/// Workers run the classic depth-first walk on their OWN database + undo
-/// log; every frame with two or more eligible rules is published as a
-/// StealTask in the owner's deque. An idle worker steals the shallowest
-/// task, replays its firing path from the root on its own state, and then
-/// claims untaken children through the task's shared atomic cursor — so one
-/// frame's children are partitioned between owner and thieves without any
-/// barrier. States are interned in ONE shared striped set keyed by 128-bit
+/// Undo-log exploration with ExplorerOptions::num_threads >= 2 and neither
+/// dedup_subtrees nor record_graph (see RunExploration). Workers run the
+/// classic depth-first walk on their OWN database + undo log; every frame
+/// with two or more eligible rules is published as a StealTask in the
+/// owner's deque. An idle worker steals the shallowest task, replays its
+/// firing path from the root on its own state, and then claims untaken
+/// children through the task's shared atomic cursor — so one frame's
+/// children are partitioned between owner and thieves without any barrier.
+/// States are interned in ONE shared striped set keyed by 128-bit
 /// fingerprints, `max_total_steps` is a single atomic claimed per edge, and
 /// POR reduces the eligible set at every state.
 ///
@@ -873,7 +730,6 @@ class WorkStealingExplorer {
         initial_db_(initial_db),
         options_(options),
         por_safe_(por_safe),
-        undo_(options.backend == ExplorerOptions::StateBackend::kUndoLog),
         num_workers_(static_cast<size_t>(options.num_threads)),
         deques_(num_workers_) {}
 
@@ -882,20 +738,12 @@ class WorkStealingExplorer {
     root_state_.emplace(&catalog_.schema(), catalog_.num_rules());
     root_state_->db = initial_db_;
     for (Transition& t : root_state_->pending) t = initial_transition;
-    // Rendered on this thread before any worker copies the root state, so
-    // the copies start from clean canonical-string caches and workers
-    // never touch a shared mutable one (same contract as sharded mode).
-    size_t db_len = 0;
-    root_key_ = CanonicalStateKey(*root_state_, &db_len);
-    root_db_len_ = db_len;
-    root_fp_ = undo_ ? StateFingerprintUndo(*root_state_)
-                     : HashString128(root_key_);
-    rollback_db_key_ = initial_db_.CanonicalString();
+    // Fingerprinted on this thread before any worker copies the root state,
+    // so the pending transitions' cached content hashes are filled here and
+    // workers only ever read the shared root.
+    root_fp_ = StateFingerprintUndo(*root_state_);
     initial_fp_ = initial_db_.ContentFingerprint();
-    rollback_fp_ = undo_ ? MixWithSalt(initial_fp_, kRollbackSalt)
-                         : HashString128("ROLLBACK#" + rollback_db_key_);
-    rollback_key_bytes_ =
-        static_cast<long>(9 /* "ROLLBACK#" */ + rollback_db_key_.size());
+    rollback_fp_ = MixWithSalt(initial_fp_, kRollbackSalt);
 
     locals_.resize(num_workers_);
     deques_.MarkActive();  // worker 0 owns the root region from the start
@@ -938,8 +786,9 @@ class WorkStealingExplorer {
  private:
   /// Cleanup record for one replayed prefix state: the undo-log delta to
   /// revert (uncounted — the replay duplicates edges whose accounting
-  /// belongs to the worker that first explored them) and the on-path
-  /// fingerprint to erase when the adopted region is done.
+  /// belongs to the worker that first explored them; the region root has
+  /// none) and the on-path fingerprint to erase when the adopted region is
+  /// done.
   struct ReplayMark {
     bool owns_delta = false;
     Hash128 fp;
@@ -951,12 +800,10 @@ class WorkStealingExplorer {
     std::shared_ptr<StealTask> task;
     RuleIndex only = -1;
     bool only_taken = false;
-    /// Undo backend: this frame's entry edge holds an open delta on the
-    /// worker's live state (false for region roots — the exploration root
-    /// or an adopted frame, whose replay deltas are unwound by Reset).
+    /// This frame's entry edge holds an open delta on the worker's live
+    /// state (false for region roots — the exploration root or an adopted
+    /// frame, whose replay deltas are unwound by ResetRegion).
     bool owns_delta = false;
-    /// Snapshot backend: the frame's full state.
-    std::optional<RuleProcessingState> state;
     Hash128 fp;
     size_t restore_stream = 0;
   };
@@ -969,10 +816,8 @@ class WorkStealingExplorer {
     long interner_hits = 0;
     long delta_reverts = 0;
     long por_pruned = 0;
-    long canonical_bytes = 0;
     int peak_depth = 0;
-    std::unordered_map<Hash128, Database, Hash128Hasher> finals_undo;
-    std::map<std::string, Database> finals_copy;
+    std::unordered_map<Hash128, Database, Hash128Hasher> finals;
     std::set<std::string> streams;
   };
 
@@ -981,8 +826,8 @@ class WorkStealingExplorer {
   struct Ctx {
     size_t w = 0;
     WorkerLocal* local = nullptr;
-    std::optional<RuleProcessingState> cur;  // undo backend
-    TransitionUndoLog pending_undo;          // undo backend
+    std::optional<RuleProcessingState> cur;
+    TransitionUndoLog pending_undo;
     std::vector<Frame> frames;
     std::vector<ReplayMark> replay;
     /// States below the bottom frame (replayed prefix length); the logical
@@ -993,7 +838,6 @@ class WorkStealingExplorer {
     std::unordered_set<Hash128, Hash128Hasher> on_path;
     std::vector<RuleIndex> path_rules;  // root -> top frame
     std::vector<Hash128> path_fps;      // parallel to path_rules, + root
-    size_t last_key_size = 0;           // snapshot key reserve hint
   };
 
   size_t Depth(const Ctx& ctx) const {
@@ -1009,10 +853,8 @@ class WorkStealingExplorer {
     Ctx ctx;
     ctx.w = w;
     ctx.local = &locals_[w];
-    if (undo_) {
-      ctx.cur.emplace(*root_state_);
-      ctx.cur->pending_undo = &ctx.pending_undo;
-    }
+    ctx.cur.emplace(*root_state_);
+    ctx.cur->pending_undo = &ctx.pending_undo;
     if (w == 0) {
       EnterRoot(ctx);
       DriveLocal(ctx);
@@ -1077,32 +919,9 @@ class WorkStealingExplorer {
         return;
       }
       ++ctx.local->steps;
-      if (undo_) {
-        ctx.pending_undo.Mark();
-        ctx.cur->db.BeginDelta();
-        auto step = ConsiderRule(catalog_, &*ctx.cur, r);
-        if (!step.ok()) {
-          Abort();
-          return;
-        }
-        size_t mark = ctx.stream.size();
-        for (const ObservableEvent& ev : step.value().observables) {
-          ctx.stream.push_back(ev);
-        }
-        if (step.value().rollback) {
-          ctx.cur->db.RevertDelta();
-          ctx.pending_undo.RevertToMark();
-          NoteRevert(ctx);
-          RecordRollback(ctx);
-          ctx.stream.resize(mark);
-        } else {
-          EnterUndo(ctx, r, mark);
-        }
-        continue;
-      }
-      bool last = k + 1 == fan && f.state.has_value();
-      RuleProcessingState next = last ? std::move(*f.state) : *f.state;
-      auto step = ConsiderRule(catalog_, &next, r);
+      ctx.pending_undo.Mark();
+      ctx.cur->db.BeginDelta();
+      auto step = ConsiderRule(catalog_, &*ctx.cur, r);
       if (!step.ok()) {
         Abort();
         return;
@@ -1112,10 +931,11 @@ class WorkStealingExplorer {
         ctx.stream.push_back(ev);
       }
       if (step.value().rollback) {
+        RevertStep(ctx);
         RecordRollback(ctx);
         ctx.stream.resize(mark);
       } else {
-        EnterCopy(ctx, std::move(next), r, mark);
+        Enter(ctx, r, mark);
       }
     }
   }
@@ -1125,18 +945,9 @@ class WorkStealingExplorer {
   void EnterRoot(Ctx& ctx) {
     bool fresh = visited_.Insert(root_fp_);
     if (!fresh) ++ctx.local->interner_hits;
-    if (!undo_) {
-      ctx.local->canonical_bytes += static_cast<long>(root_key_.size());
-    }
-    std::vector<RuleIndex> triggered =
-        TriggeredRules(catalog_, *root_state_);
+    std::vector<RuleIndex> triggered = TriggeredRules(catalog_, *ctx.cur);
     if (triggered.empty()) {
-      if (undo_) {
-        ctx.local->finals_undo.try_emplace(initial_fp_, root_state_->db);
-      } else {
-        ctx.local->finals_copy.try_emplace(
-            root_key_.substr(0, root_db_len_), root_state_->db);
-      }
+      ctx.local->finals.try_emplace(initial_fp_, ctx.cur->db);
       RecordStream(ctx);
       return;
     }
@@ -1147,21 +958,17 @@ class WorkStealingExplorer {
     Frame frame;
     frame.fp = root_fp_;
     frame.restore_stream = 0;
-    if (!undo_) frame.state.emplace(*root_state_);
     PushFrame(ctx, std::move(frame), triggered, /*via=*/-1);
   }
 
-  /// Undo-backend child entry: the live state sits at the child (delta
-  /// open). Terminal outcomes revert; non-terminal ones push a frame that
-  /// owns the delta.
-  void EnterUndo(Ctx& ctx, RuleIndex via, size_t restore_stream) {
+  /// Child entry: the live state sits at the child (delta open). Terminal
+  /// outcomes revert; non-terminal ones push a frame that owns the delta.
+  void Enter(Ctx& ctx, RuleIndex via, size_t restore_stream) {
     Hash128 fp = StateFingerprintUndo(*ctx.cur);
     bool fresh = visited_.Insert(fp);
     if (!fresh) ++ctx.local->interner_hits;
     auto leave = [&] {
-      ctx.cur->db.RevertDelta();
-      ctx.pending_undo.RevertToMark();
-      NoteRevert(ctx);
+      RevertStep(ctx);
       ctx.stream.resize(restore_stream);
     };
     if (!fresh && ctx.on_path.count(fp) != 0) {
@@ -1171,8 +978,8 @@ class WorkStealingExplorer {
     }
     std::vector<RuleIndex> triggered = TriggeredRules(catalog_, *ctx.cur);
     if (triggered.empty()) {
-      ctx.local->finals_undo.try_emplace(ctx.cur->db.ContentFingerprint(),
-                                         ctx.cur->db);
+      ctx.local->finals.try_emplace(ctx.cur->db.ContentFingerprint(),
+                                    ctx.cur->db);
       RecordStream(ctx);
       leave();
       return;
@@ -1184,44 +991,6 @@ class WorkStealingExplorer {
     }
     Frame frame;
     frame.owns_delta = true;
-    frame.fp = fp;
-    frame.restore_stream = restore_stream;
-    PushFrame(ctx, std::move(frame), triggered, via);
-  }
-
-  /// Snapshot-backend child entry. The shared set is keyed by the hash of
-  /// the canonical state key (the on-path set likewise), so cycle cuts and
-  /// intern counts match the classic string-keyed walk up to 128-bit
-  /// collisions — the same risk class the undo backend always carries.
-  void EnterCopy(Ctx& ctx, RuleProcessingState&& state, RuleIndex via,
-                 size_t restore_stream) {
-    size_t db_len = 0;
-    std::string key =
-        CanonicalStateKey(state, &db_len, ctx.last_key_size + 32);
-    ctx.last_key_size = key.size();
-    ctx.local->canonical_bytes += static_cast<long>(key.size());
-    Hash128 fp = HashString128(key);
-    bool fresh = visited_.Insert(fp);
-    if (!fresh) ++ctx.local->interner_hits;
-    if (!fresh && ctx.on_path.count(fp) != 0) {
-      may_not_terminate_.store(true, std::memory_order_relaxed);
-      ctx.stream.resize(restore_stream);
-      return;
-    }
-    std::vector<RuleIndex> triggered = TriggeredRules(catalog_, state);
-    if (triggered.empty()) {
-      ctx.local->finals_copy.try_emplace(key.substr(0, db_len), state.db);
-      RecordStream(ctx);
-      ctx.stream.resize(restore_stream);
-      return;
-    }
-    if (static_cast<int>(Depth(ctx)) >= options_.max_depth) {
-      ctx.stream.resize(restore_stream);
-      Abort();
-      return;
-    }
-    Frame frame;
-    frame.state.emplace(std::move(state));
     frame.fp = fp;
     frame.restore_stream = restore_stream;
     PushFrame(ctx, std::move(frame), triggered, via);
@@ -1256,11 +1025,7 @@ class WorkStealingExplorer {
   void PopFrame(Ctx& ctx) {
     Frame& f = ctx.frames.back();
     if (f.task != nullptr) deques_.RemoveBack(ctx.w, f.task.get());
-    if (f.owns_delta) {
-      ctx.cur->db.RevertDelta();
-      ctx.pending_undo.RevertToMark();
-      NoteRevert(ctx);
-    }
+    if (f.owns_delta) RevertStep(ctx);
     ctx.on_path.erase(f.fp);
     ctx.stream.resize(f.restore_stream);
     if (!ctx.path_rules.empty()) ctx.path_rules.pop_back();
@@ -1277,17 +1042,11 @@ class WorkStealingExplorer {
     const size_t len = task->path.size();
     ctx.replay.push_back({/*owns_delta=*/false, task->path_fps[0]});
     ctx.on_path.insert(task->path_fps[0]);
-    std::optional<RuleProcessingState> walker;
-    if (!undo_) walker.emplace(*root_state_);
     for (size_t i = 0; i < len; ++i) {
-      Result<StepOutcome> step = [&] {
-        if (undo_) {
-          ctx.pending_undo.Mark();
-          ctx.cur->db.BeginDelta();
-          return ConsiderRule(catalog_, &*ctx.cur, task->path[i]);
-        }
-        return ConsiderRule(catalog_, &*walker, task->path[i]);
-      }();
+      ctx.pending_undo.Mark();
+      ctx.cur->db.BeginDelta();
+      Result<StepOutcome> step =
+          ConsiderRule(catalog_, &*ctx.cur, task->path[i]);
       if (!step.ok()) {
         Abort();
         return;
@@ -1295,7 +1054,7 @@ class WorkStealingExplorer {
       for (const ObservableEvent& ev : step.value().observables) {
         ctx.stream.push_back(ev);
       }
-      ctx.replay.push_back({/*owns_delta=*/undo_, task->path_fps[i + 1]});
+      ctx.replay.push_back({/*owns_delta=*/true, task->path_fps[i + 1]});
       if (i + 1 < len) ctx.on_path.insert(task->path_fps[i + 1]);
     }
     ctx.base_depth = len;
@@ -1305,7 +1064,6 @@ class WorkStealingExplorer {
     frame.task = task;
     frame.fp = task->path_fps[len];
     frame.restore_stream = ctx.stream.size();
-    if (!undo_) frame.state.emplace(std::move(*walker));
     ctx.on_path.insert(frame.fp);
     ctx.path_fps.push_back(frame.fp);
     ctx.frames.push_back(std::move(frame));
@@ -1335,8 +1093,11 @@ class WorkStealingExplorer {
     ctx.path_fps.clear();
   }
 
-  /// Counts an undo-log revert at the logical (classic-equivalent) depth.
-  void NoteRevert(Ctx& ctx) {
+  /// Reverts the open step on the worker's live state and counts it at the
+  /// logical (classic-equivalent) depth.
+  void RevertStep(Ctx& ctx) {
+    ctx.cur->db.RevertDelta();
+    ctx.pending_undo.RevertToMark();
     ++ctx.local->delta_reverts;
     STARBURST_METRIC_HISTOGRAM("explorer.revert_depth", RevertDepthBounds(),
                                static_cast<int64_t>(Depth(ctx)));
@@ -1349,13 +1110,8 @@ class WorkStealingExplorer {
     if (!rollback_claimed_.exchange(true, std::memory_order_acq_rel)) {
       bool fresh = visited_.Insert(rollback_fp_);
       if (!fresh) ++ctx.local->interner_hits;
-      if (!undo_) ctx.local->canonical_bytes += rollback_key_bytes_;
     }
-    if (undo_) {
-      ctx.local->finals_undo.try_emplace(initial_fp_, initial_db_);
-    } else {
-      ctx.local->finals_copy.try_emplace(rollback_db_key_, initial_db_);
-    }
+    ctx.local->finals.try_emplace(initial_fp_, initial_db_);
     RecordStream(ctx);
   }
 
@@ -1363,7 +1119,7 @@ class WorkStealingExplorer {
   /// set past the cap proves the global union is past the cap — the
   /// classic walk would truncate, so abort to it.
   void RecordStream(Ctx& ctx) {
-    std::string s = StreamToString(ctx.stream);
+    std::string s = ObservableStreamToString(ctx.stream);
     auto [it, fresh] = ctx.local->streams.insert(std::move(s));
     (void)it;
     if (fresh && static_cast<int>(ctx.local->streams.size()) >
@@ -1390,28 +1146,17 @@ class WorkStealingExplorer {
         options_.max_streams) {
       return std::nullopt;
     }
-    long merge_bytes = 0;
-    if (undo_) {
-      // Distinct final fingerprints across workers; canonical strings are
-      // rendered once per distinct final, exactly like the classic undo
-      // walk's fresh-fingerprint renders.
-      std::unordered_set<Hash128, Hash128Hasher> seen;
-      for (WorkerLocal& local : locals_) {
-        for (auto& [fp, db] : local.finals_undo) {
-          if (!seen.insert(fp).second) continue;
-          std::string db_key = db.CanonicalString();
-          merge_bytes += static_cast<long>(db_key.size());
-          out.final_states.insert(db_key);
-          out.final_databases.emplace(std::move(db_key), std::move(db));
-        }
-      }
-    } else {
-      for (WorkerLocal& local : locals_) {
-        for (auto& [db_key, db] : local.finals_copy) {
-          if (out.final_states.insert(db_key).second) {
-            out.final_databases.emplace(db_key, std::move(db));
-          }
-        }
+    // Distinct final fingerprints across workers; canonical strings are
+    // rendered once per distinct final, exactly like the classic undo
+    // walk's fresh-fingerprint renders.
+    std::unordered_set<Hash128, Hash128Hasher> seen;
+    for (WorkerLocal& local : locals_) {
+      for (auto& [fp, db] : local.finals) {
+        if (!seen.insert(fp).second) continue;
+        std::string db_key = db.CanonicalString();
+        out.stats.canonicalization_bytes += static_cast<long>(db_key.size());
+        out.final_states.insert(db_key);
+        out.final_databases.emplace(std::move(db_key), std::move(db));
       }
     }
     for (const WorkerLocal& local : locals_) {
@@ -1419,11 +1164,9 @@ class WorkStealingExplorer {
       out.stats.interner_hits += local.interner_hits;
       out.stats.delta_reverts += local.delta_reverts;
       out.stats.por_pruned_orders += local.por_pruned;
-      out.stats.canonicalization_bytes += local.canonical_bytes;
       out.stats.peak_stack_depth =
           std::max(out.stats.peak_stack_depth, local.peak_depth);
     }
-    out.stats.canonicalization_bytes += merge_bytes;
     long interned = static_cast<long>(visited_.Size());
     out.states_visited = interned;
     out.stats.states_interned = interned;
@@ -1443,17 +1186,12 @@ class WorkStealingExplorer {
   const Database& initial_db_;
   const ExplorerOptions& options_;
   const std::vector<bool>* por_safe_;
-  const bool undo_;
   const size_t num_workers_;
 
   std::optional<RuleProcessingState> root_state_;
-  std::string root_key_;
-  size_t root_db_len_ = 0;
   Hash128 root_fp_;
   Hash128 initial_fp_;
   Hash128 rollback_fp_;
-  std::string rollback_db_key_;
-  long rollback_key_bytes_ = 0;
 
   /// The shared concurrent interner: every state any worker visits, keyed
   /// by 128-bit fingerprint.
@@ -1466,202 +1204,12 @@ class WorkStealingExplorer {
   std::vector<WorkerLocal> locals_;
 };
 
-/// Legacy deterministic sharding, kept for dedup_subtrees mode (the
-/// subtree memo is schedule-dependent under concurrent workers, so it
-/// cannot ride the work-stealing pool): the root state is expanded once,
-/// then each top-level subtree — one per initial eligible rule — is
-/// explored independently with its own interner, own step-budget slice,
-/// and the root seeded on-path for cycle detection. Shard results are
-/// merged in rule order, so the merged result is identical for any worker
-/// count. When POR (or the workload) reduces the root to a single eligible
-/// rule, the walk IS the classic walk — run it directly instead of paying
-/// pool setup for one shard.
-Result<ExplorationResult> ExploreSharded(const RuleCatalog& catalog,
-                                         const Database& initial_db,
-                                         const Transition& initial_transition,
-                                         const ExplorerOptions& options,
-                                         const std::vector<bool>* por_safe) {
-  auto start = std::chrono::steady_clock::now();
-  RuleProcessingState root(&catalog.schema(), catalog.num_rules());
-  root.db = initial_db;
-  for (Transition& t : root.pending) t = initial_transition;
-  const bool undo =
-      options.backend == ExplorerOptions::StateBackend::kUndoLog;
-  size_t db_len = 0;
-  // Also renders (and caches) the canonical strings inside root.db, so the
-  // per-shard copies below start from a clean cache and workers never
-  // touch a shared mutable one — needed in BOTH backends: the undo backend
-  // still renders canonical strings for final states, and a root that is
-  // itself final takes the string path below.
-  std::string root_key = CanonicalStateKey(root, &db_len);
-  Hash128 root_fp;
-  if (undo) root_fp = StateFingerprintUndo(root);
-
-  ExplorationResult merged;
-  merged.streams_evaluated = !options.dedup_subtrees;
-  merged.states_visited = 1;
-  merged.stats.states_interned = 1;
-  merged.stats.canonicalization_bytes =
-      static_cast<long>(undo ? 0 : root_key.size());
-
-  std::vector<RuleIndex> triggered = TriggeredRules(catalog, root);
-  if (triggered.empty()) {
-    // The root is final; mirrors the classic explorer's terminal Enter.
-    std::string fingerprint = root_key.substr(0, db_len);
-    merged.final_databases.emplace(fingerprint, root.db);
-    merged.final_states.insert(std::move(fingerprint));
-    if (!options.dedup_subtrees) merged.observable_streams.insert("");
-    merged.stats.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    return merged;
-  }
-  // Terminal-bound checks in the classic Enter() order: budget, depth.
-  if (options.max_total_steps <= 0) {
-    merged.complete = false;
-    return merged;
-  }
-  if (options.max_depth <= 0) {
-    merged.complete = false;
-    merged.may_not_terminate = true;  // conservative
-    return merged;
-  }
-
-  std::vector<RuleIndex> eligible = EligibleRules(catalog, triggered);
-  // The root state gets the same ample-set reduction as every in-shard
-  // state, so classic and sharded POR prune the identical tree.
-  ReduceEligible(por_safe, &eligible, &merged.stats.por_pruned_orders);
-  if (eligible.size() == 1) {
-    // POR (or the workload) reduced the root to one eligible rule: the one
-    // "shard" is the whole walk, so run the classic explorer directly
-    // instead of paying pool setup for a single worker. The classic walk
-    // recounts por_pruned_orders from scratch; `merged` is discarded.
-    ExplorerImpl impl(catalog, initial_db, options, por_safe);
-    return impl.Run(initial_transition);
-  }
-  // Precomputed on this thread: the rollback fingerprint reads (and fills)
-  // initial_db's mutable canonical-string caches.
-  std::string rollback_fingerprint = initial_db.CanonicalString();
-
-  struct ShardOutcome {
-    Status error;
-    ExplorationResult result;
-  };
-  std::vector<ShardOutcome> shards(eligible.size());
-  ExplorerOptions shard_options = options;
-  shard_options.num_threads = 0;
-  shard_options.record_graph = false;
-  // The shard's start state already sits one consideration below the root.
-  shard_options.max_depth = options.max_depth - 1;
-  // `max_total_steps` is divided across the shards (remainder to the first
-  // shards in rule order) so the aggregate budget matches the classic
-  // mode instead of silently handing every shard the full allowance. The
-  // shard's slice funds its top-level consideration (the += 1 after the
-  // sub-exploration) plus the subtree below it; a slice of 1 leaves a
-  // sub-budget of 0, mirroring a classic child entered right at the trip
-  // point (finals are still recorded — the budget check runs after the
-  // final-state check).
-  const long budget = options.max_total_steps;
-  const long num_shards = static_cast<long>(eligible.size());
-
-  ThreadPool pool(static_cast<int>(std::min(
-      static_cast<size_t>(options.num_threads), eligible.size())));
-  pool.ParallelFor(eligible.size(), 1, [&](size_t begin, size_t end) {
-    for (size_t k = begin; k < end; ++k) {
-      STARBURST_TRACE_SPAN("explorer", "explore.shard");
-      RuleProcessingState state = root;
-      auto step = ConsiderRule(catalog, &state, eligible[k]);
-      if (!step.ok()) {
-        shards[k].error = step.status();
-        continue;
-      }
-      ExplorationResult& out = shards[k].result;
-      if (step.value().rollback) {
-        // Top-level rollback: the path ends at the initial database.
-        out.steps_taken = 1;
-        out.states_visited = 1;  // the synthetic rollback state
-        out.stats.states_interned = 2;  // root seed + rollback (see merge)
-        out.final_databases.emplace(rollback_fingerprint, initial_db);
-        out.final_states.insert(rollback_fingerprint);
-        if (!options.dedup_subtrees) {
-          out.observable_streams.insert(
-              StreamToString(step.value().observables));
-        }
-        continue;
-      }
-      ExplorerOptions sub_options = shard_options;
-      sub_options.max_total_steps =
-          budget / num_shards +
-          (static_cast<long>(k) < budget % num_shards ? 1 : 0) - 1;
-      ExplorerImpl impl(catalog, initial_db, sub_options, por_safe);
-      if (undo) {
-        impl.SeedRootOnPathFp(root_fp);
-      } else {
-        impl.SeedRootOnPath(root_key);
-      }
-      if (!options.dedup_subtrees) impl.SeedStream(step.value().observables);
-      auto result = impl.RunFromState(std::move(state));
-      if (!result.ok()) {
-        shards[k].error = result.status();
-        continue;
-      }
-      shards[k].result = std::move(result).value();
-      shards[k].result.steps_taken += 1;  // the top-level consideration
-    }
-  });
-
-  for (ShardOutcome& shard : shards) {
-    if (!shard.error.ok()) return shard.error;
-    ExplorationResult& r = shard.result;
-    merged.complete = merged.complete && r.complete;
-    merged.may_not_terminate =
-        merged.may_not_terminate || r.may_not_terminate;
-    merged.final_states.insert(r.final_states.begin(), r.final_states.end());
-    for (auto& [fingerprint, db] : r.final_databases) {
-      merged.final_databases.emplace(fingerprint, std::move(db));
-    }
-    merged.observable_streams.insert(r.observable_streams.begin(),
-                                     r.observable_streams.end());
-    merged.states_visited += r.states_visited;
-    merged.steps_taken += r.steps_taken;
-    STARBURST_METRIC_HISTOGRAM("explorer.shard_states", ShardStatesBounds(),
-                               r.states_visited);
-    // Counter aggregates: states shared between sibling subtrees are
-    // counted once per shard; the seeded root id is discounted here.
-    merged.stats.states_interned += r.stats.states_interned - 1;
-    merged.stats.dedup_hits += r.stats.dedup_hits;
-    merged.stats.interner_hits += r.stats.interner_hits;
-    merged.stats.canonicalization_bytes += r.stats.canonicalization_bytes;
-    merged.stats.delta_reverts += r.stats.delta_reverts;
-    merged.stats.por_pruned_orders += r.stats.por_pruned_orders;
-    merged.stats.peak_stack_depth = std::max(
-        merged.stats.peak_stack_depth, r.stats.peak_stack_depth + 1);
-  }
-  // Strictly greater than the cap: a union of EXACTLY max_streams fully
-  // enumerated streams is complete — only a stream beyond the cap
-  // truncates (mirrors the classic RecordStream boundary, pinned by the
-  // at-cap / cap-plus-one explorer tests).
-  if (!options.dedup_subtrees &&
-      static_cast<int>(merged.observable_streams.size()) >
-          options.max_streams) {
-    auto it = merged.observable_streams.begin();
-    std::advance(it, options.max_streams);
-    merged.observable_streams.erase(it, merged.observable_streams.end());
-    merged.complete = false;
-  }
-  merged.stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return merged;
-}
-
 /// Flushes one exploration's counters into the process registry. Called
-/// once per exploration with the MERGED result, never per shard, so the
-/// registered totals are identical whether the exploration ran classic or
-/// sharded and for any worker count. Wall time goes to a gauge (cumulative
-/// microseconds) — it is real time and thus outside the counter
-/// determinism contract; states/sec is states_visited / wall_us.
+/// once per exploration with the final (merged) result, so the registered
+/// totals are identical whichever engine ran and for any worker count.
+/// Wall time goes to a gauge (cumulative microseconds) — it is real time
+/// and thus outside the counter determinism contract; states/sec is
+/// states_visited / wall_us.
 void FlushExplorationMetrics(const ExplorationResult& r) {
   if (!metrics::Enabled()) return;
   STARBURST_METRIC_COUNT("explorer.explorations", 1);
@@ -1697,8 +1245,11 @@ void FlushExplorationMetrics(const ExplorationResult& r) {
   }
 }
 
-/// Dispatches between the classic single-threaded explorer, the
-/// work-stealing parallel mode, and the legacy sharded mode (dedup only).
+/// Dispatches between the two engines. Work stealing runs iff
+/// num_threads >= 2, the backend is the undo log, and neither
+/// dedup_subtrees (the subtree memo depends on visit order) nor
+/// record_graph (node ids must be globally dense) is set; everything else
+/// runs the classic walk.
 Result<ExplorationResult> RunExploration(const RuleCatalog& catalog,
                                          const Database& initial_db,
                                          const Transition& initial_transition,
@@ -1706,31 +1257,20 @@ Result<ExplorationResult> RunExploration(const RuleCatalog& catalog,
   std::optional<metrics::ScopedCollect> collect;
   if (options.collect_metrics) collect.emplace();
   STARBURST_TRACE_SPAN("explorer", "explore");
-  // The POR safety bitvector is computed once, before any shard spawns,
-  // and shared read-only by every ExplorerImpl of this exploration.
+  // The POR safety bitvector is computed once, before any worker spawns,
+  // and shared read-only by every engine instance of this exploration.
   const std::vector<bool> por_safe_storage = PorSafeRules(catalog, options);
   const std::vector<bool>* por_safe =
       por_safe_storage.empty() ? nullptr : &por_safe_storage;
-  Result<ExplorationResult> result = [&]() -> Result<ExplorationResult> {
-    if (options.num_threads >= 1 && !options.record_graph) {
-      if (options.dedup_subtrees) {
-        // The subtree memo is schedule-dependent under concurrent workers
-        // (memo soundness depends on visit order), so dedup mode keeps the
-        // deterministic top-level sharding.
-        return ExploreSharded(catalog, initial_db, initial_transition,
-                              options, por_safe);
-      }
-      if (options.num_threads >= 2) {
-        WorkStealingExplorer stealing(catalog, initial_db, options,
-                                      por_safe);
-        return stealing.Run(initial_transition);
-      }
-      // num_threads == 1: one worker is the classic walk — skip pool and
-      // shared-structure setup entirely.
-    }
-    ExplorerImpl impl(catalog, initial_db, options, por_safe);
-    return impl.Run(initial_transition);
-  }();
+  const bool stealing =
+      options.num_threads >= 2 &&
+      options.backend == ExplorerOptions::StateBackend::kUndoLog &&
+      !options.dedup_subtrees && !options.record_graph;
+  Result<ExplorationResult> result =
+      stealing ? WorkStealingExplorer(catalog, initial_db, options, por_safe)
+                     .Run(initial_transition)
+               : ExplorerImpl(catalog, initial_db, options, por_safe)
+                     .Run(initial_transition);
   if (result.ok()) FlushExplorationMetrics(result.value());
   return result;
 }

@@ -31,7 +31,9 @@ struct ExplorerOptions {
   ///                  delta_equivalence fuzz oracle); both backends
   ///                  produce identical results — fingerprint collisions
   ///                  aside, which at 128 bits are negligible and are
-  ///                  cross-checked by that oracle.
+  ///                  cross-checked by that oracle. Always runs the
+  ///                  classic single-threaded walk, whatever
+  ///                  `num_threads` says.
   enum class StateBackend { kUndoLog, kSnapshotCopy };
   StateBackend backend = StateBackend::kUndoLog;
   /// Maximum depth (rule considerations) along any path.
@@ -54,17 +56,23 @@ struct ExplorerOptions {
   /// `observable_streams` is left EMPTY in this mode. Use the default
   /// (false) when stream enumeration matters.
   bool dedup_subtrees = false;
-  /// Opt-in parallel exploration. 0 (default) and 1 are the classic
-  /// single-threaded walk (1 skips pool setup entirely). >= 2 runs a
-  /// work-stealing search: each worker owns its own database + undo-log
-  /// backend and walks depth-first; every frame with two or more eligible
-  /// rules is published to the worker's steal deque, and an idle worker
-  /// steals the shallowest one, replays its firing path from the root on
-  /// its own state, and claims untaken children through the frame's shared
-  /// atomic cursor. States are interned in ONE shared striped hash set
-  /// keyed by 128-bit fingerprints (common/striped_set.h), so a state seen
-  /// by any worker is counted once globally, and `max_total_steps` is a
-  /// single atomic claimed per edge — no per-shard budget slices, so an
+  /// Opt-in parallel exploration. The work-stealing engine runs iff
+  /// num_threads >= 2, `backend` is kUndoLog, and neither `dedup_subtrees`
+  /// nor `record_graph` is set; every other combination, including 0 (the
+  /// default) and 1, runs the classic single-threaded walk. The exclusions:
+  /// the subtree memo depends on visit order, the recorded graph needs
+  /// globally dense node ids, and kSnapshotCopy is the classic-only
+  /// reference backend.
+  ///
+  /// Work stealing: each worker owns its own database + undo log and
+  /// walks depth-first; every frame with two or more eligible rules is
+  /// published to the worker's steal deque, and an idle worker steals the
+  /// shallowest one, replays its firing path from the root on its own
+  /// state, and claims untaken children through the frame's shared atomic
+  /// cursor. States are interned in ONE shared striped hash set keyed by
+  /// 128-bit fingerprints (common/striped_set.h), so a state seen by any
+  /// worker is counted once globally, and `max_total_steps` is a single
+  /// atomic claimed per edge — no per-subtree budget slices, so an
   /// unbalanced subtree can never trip a slice when the classic walk would
   /// fit. POR's ample-set reduction applies at every state.
   ///
@@ -72,16 +80,13 @@ struct ExplorerOptions {
   /// states, observable streams, `complete`, `may_not_terminate`,
   /// `steps_taken`, and every ExplorationStats counter except the
   /// scheduling telemetry (`steals`, `shared_interner_hits`,
-  /// `parallel_fallbacks`), for any num_threads and either backend: a parallel attempt either completes
-  /// (the enumerated tree is provably the classic tree) or is discarded
-  /// and the classic walk is rerun once (budget / depth / stream-cap trips
-  /// and errors are schedule-dependent mid-flight, so truncated results
-  /// always come from the deterministic classic walk; the rerun is bounded
-  /// by the same limits that tripped, and is counted in
-  /// `ExplorationStats::parallel_fallbacks`). Two carve-outs use the
-  /// legacy deterministic top-level sharding instead of stealing:
-  /// `record_graph` (needs globally dense node ids — classic mode) and
-  /// `dedup_subtrees` (the memo is schedule-dependent under concurrency).
+  /// `parallel_fallbacks`), for any num_threads: a parallel attempt
+  /// either completes (the enumerated tree is provably the classic tree)
+  /// or is discarded and the classic walk is rerun once (budget / depth /
+  /// stream-cap trips and errors are schedule-dependent mid-flight, so
+  /// truncated results always come from the deterministic classic walk;
+  /// the rerun is bounded by the same limits that tripped, and is counted
+  /// in `ExplorationStats::parallel_fallbacks`).
   int num_threads = 0;
   /// Commutativity-guided partial-order reduction (ample-set style). At a
   /// state whose eligible set contains a "safe" rule — one that (a)
@@ -126,8 +131,8 @@ struct ExplorationStats {
   long dedup_hits = 0;
   /// Intern lookups that found an already-interned state (revisits and
   /// cycle hits). The interner hit rate is
-  /// interner_hits / (interner_hits + states_interned). In sharded mode
-  /// this aggregates per-shard work, like `states_visited`.
+  /// interner_hits / (interner_hits + states_interned). Identical for
+  /// every num_threads.
   long interner_hits = 0;
   /// Maximum depth of the explicit DFS stack.
   int peak_stack_depth = 0;

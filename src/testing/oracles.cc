@@ -159,46 +159,50 @@ OracleOutcome BackendEquivalence(const GeneratedRuleSet& set,
   ThreadPool::SetDefaultThreadCount(original_threads);
   if (!divergence.empty()) return Fail(divergence);
 
-  // Explorer: classic vs every work-stealing pool size must agree on the
-  // final-state set, the observable streams, both verdicts, and the visit
-  // accounting — UNCONDITIONALLY. The parallel engine shares one atomic
-  // step budget and one interner, and any bound trip aborts the parallel
-  // attempt and reruns the classic walk, so even truncated enumerations
-  // must be bit-identical (the old per-shard budget slices allowed
-  // different truncation frontiers; that escape hatch is gone).
-  ExplorerOptions classic_options = ExploreOptions(options);
-  auto classic = Explorer::Explore(prepared.value().catalog,
-                                   prepared.value().db,
-                                   prepared.value().initial, classic_options);
-  if (!classic.ok()) return Fail(classic.status().ToString());
-  for (int threads : options.backend_thread_counts) {
-    ExplorerOptions stealing_options = classic_options;
-    stealing_options.num_threads = threads;
-    auto stealing = Explorer::Explore(
-        prepared.value().catalog, prepared.value().db,
-        prepared.value().initial, stealing_options);
-    if (!stealing.ok()) return Fail(stealing.status().ToString());
-    std::string where = "work-stealing explorer (num_threads=" +
-                        std::to_string(threads) + ") diverged from classic: ";
-    if (stealing.value().complete != classic.value().complete) {
-      return Fail(where + "completeness differs");
-    }
-    if (stealing.value().final_states != classic.value().final_states) {
-      return Fail(where + "final-state sets differ");
-    }
-    if (stealing.value().observable_streams !=
-        classic.value().observable_streams) {
-      return Fail(where + "observable-stream sets differ");
-    }
-    if (stealing.value().may_not_terminate !=
-        classic.value().may_not_terminate) {
-      return Fail(where + "termination verdicts differ");
-    }
-    if (stealing.value().steps_taken != classic.value().steps_taken) {
-      return Fail(where + "step counts differ");
-    }
-    if (stealing.value().states_visited != classic.value().states_visited) {
-      return Fail(where + "visited-state counts differ");
+  // Explorer: at every pool size, with and without dedup_subtrees, a run
+  // must match the classic run of the same mode on the final-state set,
+  // the observable streams, both verdicts, and the visit accounting —
+  // UNCONDITIONALLY. Full enumeration runs the work-stealing engine, which
+  // shares one atomic step budget and one interner; any bound trip aborts
+  // the parallel attempt and reruns the classic walk, so even truncated
+  // enumerations must be bit-identical. Dedup mode always runs the classic
+  // walk, whose one subtree memo must serve every pool size alike.
+  for (bool dedup : {false, true}) {
+    ExplorerOptions classic_options = ExploreOptions(options);
+    classic_options.dedup_subtrees = dedup;
+    auto classic =
+        Explorer::Explore(prepared.value().catalog, prepared.value().db,
+                          prepared.value().initial, classic_options);
+    if (!classic.ok()) return Fail(classic.status().ToString());
+    for (int threads : options.backend_thread_counts) {
+      ExplorerOptions threaded_options = classic_options;
+      threaded_options.num_threads = threads;
+      auto threaded = Explorer::Explore(
+          prepared.value().catalog, prepared.value().db,
+          prepared.value().initial, threaded_options);
+      if (!threaded.ok()) return Fail(threaded.status().ToString());
+      const ExplorationResult& t = threaded.value();
+      const ExplorationResult& c = classic.value();
+      std::string where =
+          std::string(dedup ? "dedup-subtrees" : "work-stealing") +
+          " explorer (num_threads=" + std::to_string(threads) +
+          ") diverged from classic: ";
+      if (t.complete != c.complete) return Fail(where + "completeness differs");
+      if (t.final_states != c.final_states) {
+        return Fail(where + "final-state sets differ");
+      }
+      if (t.observable_streams != c.observable_streams) {
+        return Fail(where + "observable-stream sets differ");
+      }
+      if (t.may_not_terminate != c.may_not_terminate) {
+        return Fail(where + "termination verdicts differ");
+      }
+      if (t.steps_taken != c.steps_taken) {
+        return Fail(where + "step counts differ");
+      }
+      if (t.states_visited != c.states_visited) {
+        return Fail(where + "visited-state counts differ");
+      }
     }
   }
   return Pass();

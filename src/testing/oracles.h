@@ -31,8 +31,10 @@ namespace fuzzing {
 ///   kObservableDeterminismSound Theorem 8.1 (Section 8): a determinism
 ///                               certificate implies one observable
 ///                               stream.
-///   kBackendEquivalence         classic vs sharded explorer and
-///                               1/2/8-thread analysis produce identical
+///   kBackendEquivalence         the classic explorer and the explorer
+///                               at every backend_thread_counts entry
+///                               (with and without dedup_subtrees), and
+///                               1/2/8-thread analysis, produce identical
 ///                               results (the parallel backend's
 ///                               determinism contract).
 ///   kRoundTrip                  print -> parse -> print is a fixpoint for
@@ -41,8 +43,9 @@ namespace fuzzing {
 ///                               fingerprints + delta reverts) and the
 ///                               snapshot-copy backend produce identical
 ///                               final-state sets, observable streams, and
-///                               verdicts — classic and at every sharded
-///                               worker count — and exploration leaves
+///                               verdicts — classic and at every
+///                               work-stealing worker count — and
+///                               exploration leaves
 ///                               FullReportToJson bit-identical.
 ///   kPorEquivalence             commutativity-guided partial-order
 ///                               reduction (ExplorerOptions::por) prunes
@@ -50,7 +53,7 @@ namespace fuzzing {
 ///                               exploration produce identical final
 ///                               states, observable streams, and
 ///                               may-not-terminate verdicts, classic and
-///                               at every sharded worker count (the
+///                               at every work-stealing worker count (the
 ///                               Lemma 6.1 ample-set soundness contract).
 ///   kIncrementalEquivalence     the §9 incremental analyzer and a
 ///                               from-scratch analysis agree exactly —
@@ -98,7 +101,8 @@ struct OracleOptions {
   int rows_per_table = 2;
   int max_depth = 48;
   long max_total_steps = 40000;
-  /// Pool sizes swept by kBackendEquivalence.
+  /// Explorer and analysis thread counts swept by kBackendEquivalence
+  /// (and by the kDeltaEquivalence / kPorEquivalence explorer legs).
   std::vector<int> backend_thread_counts = {1, 2, 8};
 };
 

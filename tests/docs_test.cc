@@ -9,7 +9,9 @@
 //  - the README tool table against the add_executable() names in
 //    tools/CMakeLists.txt,
 //  - the worked /stats example in docs/observability.md is valid JSON
-//    with the snapshot's section shape.
+//    with the snapshot's section shape,
+//  - the explorer.* metric names in docs/observability.md and the ones
+//    the code emits are the same set.
 // The repo root comes from the STARBURST_REPO_DIR compile definition set
 // in tests/CMakeLists.txt (same pattern as corpus_test).
 
@@ -17,6 +19,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -307,6 +310,52 @@ std::vector<std::string> JsonBlocks(const std::string& text) {
     if (in_json) current += line + "\n";
   }
   return blocks;
+}
+
+/// Every capture of `pattern`'s first group in `text`.
+std::set<std::string> Captures(const std::string& text,
+                               const std::regex& pattern) {
+  std::set<std::string> out;
+  for (std::sregex_iterator it(text.begin(), text.end(), pattern), end;
+       it != end; ++it) {
+    out.insert((*it)[1].str());
+  }
+  return out;
+}
+
+// The explorer's metric catalog cannot go stale in either direction:
+// every "explorer.*" metric src/rules/explorer.cc emits has a backticked
+// entry in docs/observability.md (a table row, or the gauge list), and
+// every explorer.* name the doc lists is still emitted somewhere in src/
+// (the witness counters live in src/analysis/witness.cc).
+TEST(DocsTest, ObservabilityDocMatchesExplorerMetrics) {
+  const std::regex literal("\"(explorer\\.[a-z_.]+)\"");
+  const std::set<std::string> emitted_by_explorer =
+      Captures(ReadDoc("src/rules/explorer.cc"), literal);
+  ASSERT_FALSE(emitted_by_explorer.empty());
+  std::set<std::string> emitted;
+  const fs::path src = fs::path(STARBURST_REPO_DIR) / "src";
+  for (const auto& entry : fs::recursive_directory_iterator(src)) {
+    const std::string ext = entry.path().extension().string();
+    if (ext != ".cc" && ext != ".h") continue;
+    std::set<std::string> found = Captures(
+        ReadDoc(fs::relative(entry.path(), STARBURST_REPO_DIR).string()),
+        literal);
+    emitted.insert(found.begin(), found.end());
+  }
+  const std::set<std::string> documented =
+      Captures(ReadDoc("docs/observability.md"),
+               std::regex("`(explorer\\.[a-z_.]+)`"));
+  for (const std::string& name : emitted_by_explorer) {
+    EXPECT_EQ(documented.count(name), 1u)
+        << name << " is emitted by src/rules/explorer.cc but has no entry "
+        << "in docs/observability.md";
+  }
+  for (const std::string& name : documented) {
+    EXPECT_EQ(emitted.count(name), 1u)
+        << name << " is listed in docs/observability.md but nothing in "
+        << "src/ emits it";
+  }
 }
 
 TEST(DocsTest, ObservabilityStatsExampleHasSnapshotShape) {

@@ -562,17 +562,19 @@ TEST(ExplorerEquivalenceTest, MatchesReferenceOnRandomWorkloads) {
   EXPECT_GE(explored, 20);
 }
 
-// --- Sharded (num_threads >= 1) mode: classic-equivalence on fixed
-// workloads covering every top-level shape: branching with convergent and
-// divergent finals, rollback shards, cycles through the root, observable
-// streams, and the no-triggered-rules root-final case.
+// --- num_threads >= 1: classic-equivalence on fixed workloads covering
+// every top-level shape: branching with convergent and divergent finals,
+// rollback branches, cycles through the root, observable streams, and the
+// no-triggered-rules root-final case. The suite keeps its historical name;
+// top-level sharding is gone. Undo-log exploration without dedup_subtrees
+// or record_graph runs the work-stealing engine at num_threads >= 2, and
+// every other combination runs the classic walk.
 
 class ShardedExplorerTest : public ExplorerTest {
  protected:
-  // Explores with the classic engine and with 1, 2, and 8 shard workers,
+  // Explores with the classic engine and with 1, 2, and 8 threads,
   // asserting the documented invariant: identical verdicts, final states,
-  // and observable streams for every num_threads >= 1, and identical to
-  // classic whenever both runs are complete.
+  // observable streams, and visit accounting for every num_threads.
   void ExpectShardedMatchesClassic(const std::vector<std::string>& stmts,
                                    ExplorerOptions options = {}) {
     options.num_threads = 0;
@@ -587,8 +589,7 @@ class ShardedExplorerTest : public ExplorerTest {
       EXPECT_EQ(sharded.complete, classic.complete);
       EXPECT_EQ(sharded.steps_taken, classic.steps_taken);
       // The shared interner makes even the visit accounting identical to
-      // classic (under the legacy top-level sharding, states shared
-      // between sibling subtrees were re-interned per shard).
+      // classic.
       EXPECT_EQ(sharded.states_visited, classic.states_visited);
       EXPECT_EQ(sharded.stats.states_interned, classic.stats.states_interned);
       EXPECT_EQ(sharded.stats.interner_hits, classic.stats.interner_hits);
@@ -660,8 +661,8 @@ TEST_F(ShardedExplorerTest, DepthLimitVerdictMatches) {
     options.num_threads = threads;
     ExplorationResult sharded =
         Explore({"insert into a values (0)"}, options);
-    // Depth semantics match classic exactly: a shard gets max_depth - 1 to
-    // compensate for the root frame it did not push.
+    // A depth trip aborts the parallel attempt and reruns the classic
+    // walk, so the verdict is the classic one.
     EXPECT_FALSE(sharded.complete) << "num_threads=" << threads;
     EXPECT_TRUE(sharded.may_not_terminate) << "num_threads=" << threads;
   }
@@ -679,7 +680,7 @@ TEST_F(ShardedExplorerTest, StreamCapKeepsLexicographicallyFirst) {
     ASSERT_EQ(r.observable_streams.size(), 1u) << "num_threads=" << threads;
     EXPECT_FALSE(r.complete) << "num_threads=" << threads;
     // The kept stream is the lexicographically-first of the union,
-    // regardless of which shard produced it or in which order.
+    // regardless of which worker produced it or in which order.
     EXPECT_NE(r.observable_streams.begin()->find("1"), std::string::npos);
   }
 }
@@ -697,10 +698,10 @@ TEST_F(ShardedExplorerTest, RecordGraphFallsBackToClassic) {
   EXPECT_EQ(r.final_states.size(), 1u);
 }
 
-// Sharded edge: rules exist in the catalog but the initial transition
-// triggers none of them, so the root is final and there are ZERO shards to
-// distribute. The sharded path must degrade to the single root-final
-// answer, matching classic for every pool size.
+// Parallel edge: rules exist in the catalog but the initial transition
+// triggers none of them, so the root is final and there is nothing to
+// distribute. Every pool size must report the single root-final answer,
+// matching classic.
 TEST_F(ShardedExplorerTest, RulesPresentButNoneTriggered) {
   Load("create table a (x int); create table b (x int);",
        "create rule onb on b when inserted then delete from b; "
@@ -714,7 +715,7 @@ TEST_F(ShardedExplorerTest, RulesPresentButNoneTriggered) {
   EXPECT_EQ(r.steps_taken, 0);
 }
 
-// Sharded edge: the budget-boundary quiescence semantics carry over to
+// Parallel edge: the budget-boundary quiescence semantics carry over to
 // every pool size.
 TEST_F(ShardedExplorerTest, QuiescenceAtStepBudgetMatchesClassic) {
   Load("create table a (x int);",
@@ -725,13 +726,12 @@ TEST_F(ShardedExplorerTest, QuiescenceAtStepBudgetMatchesClassic) {
   ExpectShardedMatchesClassic({"insert into a values (0)"}, options);
 }
 
-// Satellite regression (budget division): the classic `max_total_steps`
-// budget is DIVIDED across shards, not handed out per shard — before the
-// fix, num_threads=8 silently got up to 8x the classic exploration budget
-// and could report complete where the classic walk tripped. Three
-// non-commuting rules give a 15-step full tree; a budget of 8 trips the
-// classic walk, so every sharded pool size must trip too, with identical
-// results at 1 vs 8 threads.
+// Regression (budget sharing): `max_total_steps` is ONE budget for the
+// whole exploration, never handed out per worker — num_threads=8 once got
+// up to 8x the classic exploration budget and could report complete where
+// the classic walk tripped. Three non-commuting rules give a 15-step full
+// tree; a budget of 8 trips the classic walk, so every pool size must trip
+// too, with identical results at 1 vs 8 threads.
 TEST_F(ShardedExplorerTest, StepBudgetIsDividedAcrossShards) {
   Load("create table a (x int);",
        "create rule w1 on a when inserted then update a set x = 1; "
@@ -747,8 +747,8 @@ TEST_F(ShardedExplorerTest, StepBudgetIsDividedAcrossShards) {
   ExplorationResult one = Explore({"insert into a values (0)"}, options);
   options.num_threads = 8;
   ExplorationResult eight = Explore({"insert into a values (0)"}, options);
-  // The regression: with a per-shard budget, 3 shards x 8 steps >= 15
-  // total and both sharded runs would (wrongly) come back complete.
+  // The regression: with a budget per top-level branch, 3 branches x 8
+  // steps >= 15 total and both runs would (wrongly) come back complete.
   EXPECT_FALSE(one.complete);
   EXPECT_FALSE(eight.complete);
   // 1-vs-8-thread equivalence holds even on the truncated enumeration.
@@ -757,16 +757,16 @@ TEST_F(ShardedExplorerTest, StepBudgetIsDividedAcrossShards) {
   EXPECT_EQ(one.may_not_terminate, eight.may_not_terminate);
   EXPECT_EQ(one.steps_taken, eight.steps_taken);
 
-  // With the full 15-step budget everything completes and the sharded
-  // division leaves the classic equivalence intact.
+  // With the full 15-step budget everything completes, identically to
+  // classic.
   options.max_total_steps = 15;
   ExpectShardedMatchesClassic({"insert into a values (0)"}, options);
 }
 
-// Satellite regression (stream-cap merge boundary): a sharded union of
-// EXACTLY max_streams fully enumerated streams is complete — only the
-// cap-plus-one union truncates. Pins the `>` (not `>=`) comparison in the
-// sharded merge.
+// Regression (stream-cap merge boundary): a merged union of EXACTLY
+// max_streams fully enumerated streams is complete — only the cap-plus-one
+// union truncates. Pins the `>` (not `>=`) comparison in the work-stealing
+// merge.
 TEST_F(ShardedExplorerTest, StreamCapExactlyAtCapStaysComplete) {
   Load("create table a (x int);",
        "create rule s1 on a when inserted then select 1 from a; "
@@ -804,9 +804,8 @@ TEST_F(ShardedExplorerTest, MoreThreadsThanShards) {
 // rules with commutativity certified, so the reduction collapses the root
 // to a SINGLE eligible rule. There is nothing to parallelize; the engine
 // must degrade to the classic walk's exact answer — including the pruned
-// count and visit accounting — for every pool size, and the dedup path
-// (which still runs the legacy top-level sharding) must short-circuit to
-// the classic engine rather than spin up a one-shard pool.
+// count and visit accounting — for every pool size. Dedup mode runs the
+// classic walk at every pool size, so it matches too.
 TEST_F(ShardedExplorerTest, PorSingleEligibleRootDegradesToClassic) {
   Load("create table a (x int); create table b (x int); "
        "create table c (x int);",
@@ -820,8 +819,7 @@ TEST_F(ShardedExplorerTest, PorSingleEligibleRootDegradesToClassic) {
   EXPECT_GT(classic.stats.por_pruned_orders, 0);
   ExpectShardedMatchesClassic({"insert into a values (1)"}, options);
 
-  // Same degenerate root under dedup mode (legacy sharded walk): one
-  // eligible rule means zero shards to distribute, handled classically.
+  // Same degenerate root under dedup mode, which always runs classic.
   options.dedup_subtrees = true;
   options.num_threads = 0;
   ExplorationResult dedup_classic =
@@ -838,13 +836,13 @@ TEST_F(ShardedExplorerTest, PorSingleEligibleRootDegradesToClassic) {
   }
 }
 
-// Satellite regression (global step budget): under the legacy top-level
-// sharding the budget was SLICED across shards, so an asymmetric tree —
-// one heavy subtree, one light — could trip the heavy shard's slice and
-// report incomplete where the classic walk finishes comfortably inside
-// the same total budget. The shared atomic budget hands every step to
-// whichever worker claims it, so a budget exactly equal to the classic
-// step count completes at every pool size with identical results.
+// Regression (global step budget): a budget SLICED across top-level
+// subtrees lets an asymmetric tree — one heavy subtree, one light — trip
+// the heavy slice and report incomplete where the classic walk finishes
+// comfortably inside the same total budget. The shared atomic budget hands
+// every step to whichever worker claims it, so a budget exactly equal to
+// the classic step count completes at every pool size with identical
+// results.
 TEST_F(ShardedExplorerTest, GlobalBudgetHasNoPerShardPessimism) {
   // Root eligible = {small, big}: the `small` subtree quiesces quickly,
   // the `big` subtree cascades through b and c, so the two top-level
@@ -862,7 +860,7 @@ TEST_F(ShardedExplorerTest, GlobalBudgetHasNoPerShardPessimism) {
   const long total_steps = classic.steps_taken;
   ASSERT_GT(total_steps, 2);
 
-  // An even split would starve the heavy shard: it needs more than half
+  // An even split would starve the heavy subtree: it needs more than half
   // the total. The global budget must not reintroduce that pessimism.
   options.max_total_steps = total_steps;
   ExpectShardedMatchesClassic({"insert into a values (0)"}, options);
@@ -872,6 +870,78 @@ TEST_F(ShardedExplorerTest, GlobalBudgetHasNoPerShardPessimism) {
     EXPECT_TRUE(r.complete) << "num_threads=" << threads;
     EXPECT_EQ(r.steps_taken, total_steps) << "num_threads=" << threads;
   }
+}
+
+// dedup_subtrees runs the classic walk at every num_threads, so one memo
+// shares subtrees across the whole tree. On the re-convergent catalog of
+// BM_ExplorerRevisitedSubtreesDedup (n = 5: every permutation of the same
+// rule subset converges), the classic walk visits 32 states in 80 steps.
+// Per-top-level-subtree memos cannot share subtrees: they took 81 states
+// in 165 steps, and a budget of 80 came back incomplete after 100 steps.
+TEST_F(ShardedExplorerTest, DedupSubtreesRunsClassicAtEveryThreadCount) {
+  std::string rules;
+  for (int i = 0; i < 5; ++i) {
+    rules += "create rule r" + std::to_string(i) +
+             " on src when inserted if exists (select * from src where a > " +
+             std::to_string(100 * (i + 1)) + ") then delete from src;";
+  }
+  Load("create table src (a int);", rules);
+  ExplorerOptions options;
+  options.dedup_subtrees = true;
+  options.max_total_steps = 80;
+  options.num_threads = 0;
+  ExplorationResult classic = Explore({"insert into src values (1)"}, options);
+  EXPECT_GT(classic.stats.dedup_hits, 0);
+  for (int threads : {0, 1, 2, 8}) {
+    options.num_threads = threads;
+    ExplorationResult r = Explore({"insert into src values (1)"}, options);
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    EXPECT_EQ(r.states_visited, 32);
+    EXPECT_EQ(r.steps_taken, 80);
+    EXPECT_EQ(r.stats.dedup_hits, classic.stats.dedup_hits);
+    EXPECT_TRUE(r.complete);
+    EXPECT_EQ(r.final_states, classic.final_states);
+  }
+}
+
+// The snapshot-copy backend is the classic-only reference of the
+// delta_equivalence oracle: num_threads never moves it off the classic
+// walk, so every ExplorationStats counter — the scheduling telemetry
+// included — equals the classic run's.
+TEST_F(ShardedExplorerTest, SnapshotCopyRunsClassicAtEveryThreadCount) {
+  Load("create table a (x int); create table b (x int);",
+       "create rule w1 on a when inserted then update a set x = 1; "
+       "create rule w2 on a when inserted then update a set x = 2; "
+       "create rule s on a when inserted then select 7 from a; "
+       "create rule veto on a when inserted if exists "
+       "(select * from a where x = 2) then rollback; "
+       "create rule wb on a when inserted then insert into b values (1);");
+  ExplorerOptions options;
+  options.backend = ExplorerOptions::StateBackend::kSnapshotCopy;
+  options.por = ExplorerOptions::PorMode::kOff;
+  options.num_threads = 0;
+  ExplorationResult classic = Explore({"insert into a values (0)"}, options);
+  ASSERT_TRUE(classic.complete);
+  options.num_threads = 8;
+  ExplorationResult r = Explore({"insert into a values (0)"}, options);
+  EXPECT_EQ(r.final_states, classic.final_states);
+  EXPECT_EQ(r.observable_streams, classic.observable_streams);
+  EXPECT_EQ(r.complete, classic.complete);
+  EXPECT_EQ(r.may_not_terminate, classic.may_not_terminate);
+  EXPECT_EQ(r.states_visited, classic.states_visited);
+  EXPECT_EQ(r.steps_taken, classic.steps_taken);
+  const ExplorationStats& a = r.stats;
+  const ExplorationStats& b = classic.stats;
+  EXPECT_EQ(a.states_interned, b.states_interned);
+  EXPECT_EQ(a.dedup_hits, b.dedup_hits);
+  EXPECT_EQ(a.interner_hits, b.interner_hits);
+  EXPECT_EQ(a.peak_stack_depth, b.peak_stack_depth);
+  EXPECT_EQ(a.canonicalization_bytes, b.canonicalization_bytes);
+  EXPECT_EQ(a.delta_reverts, b.delta_reverts);
+  EXPECT_EQ(a.por_pruned_orders, b.por_pruned_orders);
+  EXPECT_EQ(a.steals, b.steals);
+  EXPECT_EQ(a.shared_interner_hits, b.shared_interner_hits);
+  EXPECT_EQ(a.parallel_fallbacks, b.parallel_fallbacks);
 }
 
 }  // namespace

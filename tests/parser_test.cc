@@ -314,5 +314,80 @@ TEST(ParserTest, CloneIsDeep) {
   EXPECT_NE(rule.actions[0].get(), clone.actions[0].get());
 }
 
+// Expression nesting is bounded at parse time (Parser::kMaxExprDepth).
+// Each shape below is a body under 1 MB that used to crash the parser's
+// caller: deep parentheses overflowed the recursive descent itself, and the
+// long chains parsed into a left-deep tree whose recursive destructor
+// overflowed the stack.
+
+std::string Repeat(const std::string& piece, int times) {
+  std::string out;
+  out.reserve(piece.size() * static_cast<size_t>(times));
+  for (int i = 0; i < times; ++i) out += piece;
+  return out;
+}
+
+void ExpectLimitExceeded(const std::string& sql) {
+  auto r = Parser::ParseStatement(sql);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kLimitExceeded)
+      << r.status().ToString();
+}
+
+TEST(ParserDepthTest, DeepParenthesesAreRejected) {
+  ExpectLimitExceeded("select * from t where " + std::string(100000, '('));
+  ExpectLimitExceeded("select * from t where " + std::string(100000, '(') +
+                      "1" + std::string(100000, ')'));
+}
+
+TEST(ParserDepthTest, LongArithmeticChainIsRejected) {
+  ExpectLimitExceeded("select * from t where a = 1" + Repeat("+1", 200000));
+}
+
+TEST(ParserDepthTest, RepeatedUnaryOperatorsAreRejected) {
+  ExpectLimitExceeded("select * from t where " + Repeat("not ", 200000) +
+                      "a = 1");
+  // Spaced out: "--" starts a comment.
+  ExpectLimitExceeded("select * from t where a = " + Repeat("- ", 200000) +
+                      "1");
+}
+
+TEST(ParserDepthTest, LongOrChainIsRejected) {
+  ExpectLimitExceeded("select * from t where a = 1" +
+                      Repeat(" or 1 = 1", 200000));
+}
+
+TEST(ParserDepthTest, BoundIsExactForChainsAndNesting) {
+  const int k = Parser::kMaxExprDepth;
+  // A chain of k - 1 operators over k leaves is a tree of height k.
+  EXPECT_TRUE(Parser::ParseExpression("1" + Repeat("+1", k - 1)).ok());
+  auto chain = Parser::ParseExpression("1" + Repeat("+1", k));
+  ASSERT_FALSE(chain.ok());
+  EXPECT_EQ(chain.status().code(), StatusCode::kLimitExceeded);
+  // The outermost expression is one level; each parenthesis adds one.
+  auto nested = [](int parens) {
+    return Parser::ParseExpression(std::string(parens, '(') + "1" +
+                                   std::string(parens, ')'));
+  };
+  EXPECT_TRUE(nested(k - 1).ok());
+  auto too_deep = nested(k);
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_EQ(too_deep.status().code(), StatusCode::kLimitExceeded);
+}
+
+TEST(ParserDepthTest, SubqueriesCountTowardTheHeight) {
+  // Each exists level adds the exists node plus the comparison inside it.
+  std::string deep = "a = 1";
+  for (int i = 0; i < Parser::kMaxExprDepth; ++i) {
+    deep = "exists (select * from t where " + deep + ")";
+  }
+  ExpectLimitExceeded("select * from t where " + deep);
+  // A deep operand on the left of a chain: the chain's operators stack on
+  // top of its height, not on the parser's nesting.
+  const int half = Parser::kMaxExprDepth / 2 + 1;
+  ExpectLimitExceeded("select * from t where (" + Repeat("not ", half) +
+                      "a = 1)" + Repeat(" or a = 1", half));
+}
+
 }  // namespace
 }  // namespace starburst

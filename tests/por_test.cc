@@ -267,8 +267,8 @@ TEST(PorEquivalenceTest, RandomizedWorkloadsAgreeAcrossModes) {
           options.num_threads = threads;
           auto run = Explorer::Explore(catalog, db, initial, options);
           ASSERT_TRUE(run.ok()) << run.status().ToString();
-          // A sharded slice of the divided step budget may trip where the
-          // classic walk squeaked under; an incomplete run proves nothing.
+          // A run whose budget tripped enumerated only part of the graph;
+          // an incomplete run proves nothing.
           if (!run.value().complete) continue;
           SCOPED_TRACE(testing::Message()
                        << "seed " << seed << " por " << (por != ExplorerOptions::PorMode::kOff)

@@ -215,6 +215,44 @@ TEST(ServiceRouterTest, TransitionRunsRulesAndCommitControlsState) {
             400);
 }
 
+// A transition body of 100k nested parentheses (200 KB) used to overflow
+// the parser's stack and kill the daemon with every tenant in it. The
+// parser's nesting bound turns it into 422 limit_exceeded, and the
+// tenant's content is untouched; a rule script nesting that deep is
+// refused at load time the same way.
+TEST(ServiceRouterTest, DeeplyNestedBodyIsRefusedWithoutSideEffects) {
+  TenantRegistry registry;
+  ServiceRouter router(&registry);
+  ASSERT_EQ(router
+                .Handle(MakeRequest("POST", "/v1/tenants/chain",
+                                    ReadCorpus("acyclic_chain.rules")))
+                .status,
+            201);
+  std::shared_ptr<Tenant> tenant = registry.Find("chain");
+  ASSERT_NE(tenant, nullptr);
+  const Hash128 before = tenant->db().ContentFingerprint();
+
+  HttpResponse deep = router.Handle(
+      MakeRequest("POST", "/v1/tenants/chain/transition",
+                  "select * from t0 where " + std::string(100000, '(')));
+  EXPECT_EQ(deep.status, 422) << deep.body.substr(0, 200);
+  EXPECT_NE(deep.body.find("limit_exceeded"), std::string::npos);
+  EXPECT_TRUE(tenant->db().ContentFingerprint() == before);
+
+  HttpResponse deep_rule = router.Handle(MakeRequest(
+      "POST", "/v1/tenants/deep",
+      "create table t (a int); create rule r on t when inserted if " +
+          std::string(100000, '(') + " then delete from t;"));
+  EXPECT_EQ(deep_rule.status, 422) << deep_rule.body.substr(0, 200);
+  EXPECT_EQ(registry.Find("deep"), nullptr);
+
+  // Still serving: an ordinary transition on the same tenant succeeds.
+  HttpResponse ok =
+      router.Handle(MakeRequest("POST", "/v1/tenants/chain/transition",
+                                "insert into t0 values (1, 2)"));
+  EXPECT_EQ(ok.status, 200) << ok.body;
+}
+
 // The determinism contract, batch side: the analyze endpoint's bytes are
 // exactly FullReportToJson over a batch Analyzer built from the same
 // script.

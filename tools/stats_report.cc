@@ -44,10 +44,11 @@ int Usage() {
                "as JSON to PATH ('-' = stdout)\n"
                "  --trace PATH          write a Chrome trace-event JSON file "
                "to PATH (load in Perfetto)\n"
-               "  --threads N           explorer worker threads (0 = classic "
-               "single-threaded)\n"
+               "  --threads N           explorer worker threads (>= 2 runs "
+               "the work-stealing engine; 0 or 1 = classic single-threaded)\n"
                "  --snapshot-backend    use the snapshot-copy state backend "
-               "instead of the undo log\n"
+               "instead of the undo log (always the classic walk, whatever "
+               "--threads says)\n"
                "  --rows N              random base rows per table "
                "(.rules scripts only)\n"
                "  --data-seed N         seed for the random base data "
