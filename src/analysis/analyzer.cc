@@ -17,22 +17,8 @@ Result<Analyzer> Analyzer::Create(const Schema* schema,
   return Analyzer(std::move(catalog));
 }
 
-Analyzer::Analyzer(RuleCatalog catalog) : catalog_(std::move(catalog)) {}
-
-Analyzer::Analyzer(Analyzer&& other) noexcept
-    : catalog_(std::move(other.catalog_)),
-      termination_certs_(std::move(other.termination_certs_)),
-      commutativity_certs_(std::move(other.commutativity_certs_)),
-      commutativity_(nullptr) {}
-
-Analyzer& Analyzer::operator=(Analyzer&& other) noexcept {
-  catalog_ = std::move(other.catalog_);
-  termination_certs_ = std::move(other.termination_certs_);
-  commutativity_certs_ = std::move(other.commutativity_certs_);
-  commutativity_.reset();
-  other.commutativity_.reset();
-  return *this;
-}
+Analyzer::Analyzer(RuleCatalog catalog)
+    : catalog_(std::make_unique<RuleCatalog>(std::move(catalog))) {}
 
 void Analyzer::CertifyQuiescent(const std::string& rule_name) {
   termination_certs_.quiescent_rules.insert(rule_name);
@@ -41,28 +27,26 @@ void Analyzer::CertifyQuiescent(const std::string& rule_name) {
 void Analyzer::CertifyCommute(const std::string& rule_a,
                               const std::string& rule_b) {
   commutativity_certs_.Certify(rule_a, rule_b);
-  commutativity_.reset();  // verdicts changed
+  if (commutativity_ != nullptr) commutativity_->Certify(rule_a, rule_b);
 }
 
 int Analyzer::ApplyAutoRefinement() {
-  PredicateRefiner refiner(catalog_.schema(), catalog_.rules(),
-                           catalog_.prelim());
+  PredicateRefiner refiner(catalog_->schema(), catalog_->rules(),
+                           catalog_->prelim());
   CommutativityCertifications derived = refiner.Refine();
   int added = 0;
-  for (const auto& pair : derived.pairs()) {
-    if (!commutativity_certs_.Contains(pair.first, pair.second)) ++added;
-  }
-  if (added > 0) {
-    commutativity_certs_.Merge(derived);
-    commutativity_.reset();
+  for (const auto& [a, b] : derived.pairs()) {
+    if (commutativity_certs_.Contains(a, b)) continue;
+    CertifyCommute(a, b);
+    ++added;
   }
   STARBURST_METRIC_COUNT("analysis.refined_pairs", added);
   return added;
 }
 
 int Analyzer::ApplyAutoDischarge() {
-  AutoDischargeDetector detector(catalog_.schema(), catalog_.rules(),
-                                 catalog_.prelim());
+  AutoDischargeDetector detector(catalog_->schema(), catalog_->rules(),
+                                 catalog_->prelim());
   TerminationCertifications derived = detector.Detect();
   int added = 0;
   for (const std::string& name : derived.quiescent_rules) {
@@ -75,7 +59,7 @@ int Analyzer::ApplyAutoDischarge() {
 const CommutativityAnalyzer& Analyzer::commutativity() {
   if (commutativity_ == nullptr) {
     commutativity_ = std::make_unique<CommutativityAnalyzer>(
-        catalog_.prelim(), catalog_.schema(), commutativity_certs_);
+        catalog_->prelim(), catalog_->schema(), commutativity_certs_);
   }
   return *commutativity_;
 }
@@ -83,14 +67,14 @@ const CommutativityAnalyzer& Analyzer::commutativity() {
 TerminationReport Analyzer::AnalyzeTermination() {
   STARBURST_TRACE_SPAN("analysis", "termination");
   STARBURST_METRIC_COUNT("analysis.termination_runs", 1);
-  return TerminationAnalyzer::Analyze(catalog_.prelim(), termination_certs_);
+  return TerminationAnalyzer::Analyze(catalog_->prelim(), termination_certs_);
 }
 
 ConfluenceReport Analyzer::AnalyzeConfluence(int max_violations) {
   STARBURST_TRACE_SPAN("analysis", "confluence");
   STARBURST_METRIC_COUNT("analysis.confluence_runs", 1);
   TerminationReport termination = AnalyzeTermination();
-  ConfluenceAnalyzer analyzer(commutativity(), catalog_.priority());
+  ConfluenceAnalyzer analyzer(commutativity(), catalog_->priority());
   return analyzer.Analyze(termination.guaranteed, max_violations);
 }
 
@@ -99,13 +83,13 @@ Result<PartialConfluenceReport> Analyzer::AnalyzePartialConfluence(
   std::vector<TableId> tables;
   tables.reserve(table_names.size());
   for (const std::string& name : table_names) {
-    TableId t = catalog_.schema().FindTable(name);
+    TableId t = catalog_->schema().FindTable(name);
     if (t == kInvalidTableId) {
       return Status::NotFound("no table '" + name + "'");
     }
     tables.push_back(t);
   }
-  PartialConfluenceAnalyzer analyzer(commutativity(), catalog_.priority());
+  PartialConfluenceAnalyzer analyzer(commutativity(), catalog_->priority());
   return analyzer.Analyze(tables, termination_certs_, max_violations);
 }
 
@@ -115,7 +99,7 @@ ObservableDeterminismReport Analyzer::AnalyzeObservableDeterminism(
   STARBURST_METRIC_COUNT("analysis.observable_runs", 1);
   TerminationReport termination = AnalyzeTermination();
   return ObservableDeterminismAnalyzer::Analyze(
-      catalog_.schema(), catalog_.prelim(), catalog_.priority(),
+      catalog_->schema(), catalog_->prelim(), catalog_->priority(),
       commutativity_certs_, termination.guaranteed, termination_certs_,
       max_violations);
 }
@@ -131,15 +115,15 @@ FullReport Analyzer::AnalyzeAll(int max_violations) {
   STARBURST_METRIC_COUNT("analysis.full_reports", 1);
   FullReport report;
   report.termination = AnalyzeTermination();
-  ConfluenceAnalyzer confluence(commutativity(), catalog_.priority());
+  ConfluenceAnalyzer confluence(commutativity(), catalog_->priority());
   report.confluence =
       confluence.Analyze(report.termination.guaranteed, max_violations);
   report.observable = ObservableDeterminismAnalyzer::Analyze(
-      catalog_.schema(), catalog_.prelim(), catalog_.priority(),
+      catalog_->schema(), catalog_->prelim(), catalog_->priority(),
       commutativity_certs_, report.termination.guaranteed, termination_certs_,
       max_violations);
   report.suggestions = SuggestForConfluence(report.confluence);
-  report.lints = CorollaryLints(commutativity(), catalog_.priority());
+  report.lints = CorollaryLints(commutativity(), catalog_->priority());
   return report;
 }
 

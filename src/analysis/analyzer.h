@@ -51,15 +51,11 @@ class Analyzer {
   /// Creates from an already-built catalog.
   explicit Analyzer(RuleCatalog catalog);
 
-  /// Move drops the lazily-built commutativity cache: it holds references
-  /// into the catalog, which relocates on move.
-  Analyzer(Analyzer&& other) noexcept;
-  Analyzer& operator=(Analyzer&& other) noexcept;
+  const RuleCatalog& catalog() const { return *catalog_; }
 
-  const RuleCatalog& catalog() const { return catalog_; }
-
-  /// Interactive certifications (Section 5 / Section 6.1). Each call
-  /// invalidates cached analyzers so the next analysis reflects it.
+  /// Interactive certifications (Section 5 / Section 6.1). The next
+  /// analysis reflects each call; a commutativity certification upgrades
+  /// its one pair in place.
   void CertifyQuiescent(const std::string& rule_name);
   void CertifyCommute(const std::string& rule_a, const std::string& rule_b);
 
@@ -103,11 +99,13 @@ class Analyzer {
   FullReport AnalyzeAll(const AnalyzerOptions& options);
 
   /// The certification-aware commutativity analyzer over the current
-  /// certifications (rebuilt lazily after certifications change).
+  /// certifications (built on first use).
   const CommutativityAnalyzer& commutativity();
 
  private:
-  RuleCatalog catalog_;
+  /// Heap-held so the commutativity cache, which points into it, stays
+  /// valid when the analyzer moves.
+  std::unique_ptr<RuleCatalog> catalog_;
   TerminationCertifications termination_certs_;
   CommutativityCertifications commutativity_certs_;
   std::unique_ptr<CommutativityAnalyzer> commutativity_;  // lazy cache

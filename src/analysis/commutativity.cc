@@ -1,6 +1,6 @@
 #include "analysis/commutativity.h"
 
-#include <cstdint>
+#include <algorithm>
 
 #include "common/metrics.h"
 #include "common/strings.h"
@@ -23,11 +23,6 @@ bool CommutativityCertifications::Contains(const std::string& a,
   std::string y = ToLower(b);
   if (y < x) std::swap(x, y);
   return pairs_.count({x, y}) > 0;
-}
-
-void CommutativityCertifications::Merge(
-    const CommutativityCertifications& other) {
-  pairs_.insert(other.pairs_.begin(), other.pairs_.end());
 }
 
 std::string NoncommutativityCause::Describe(const PrelimAnalysis& prelim,
@@ -57,91 +52,88 @@ std::string NoncommutativityCause::Describe(const PrelimAnalysis& prelim,
 CommutativityAnalyzer::CommutativityAnalyzer(
     const PrelimAnalysis& prelim, const Schema& schema,
     CommutativityCertifications certifications)
-    : prelim_(prelim),
-      schema_(schema),
-      certifications_(std::move(certifications)) {
-  int n = prelim_.num_rules();
-  STARBURST_TRACE_SPAN("analysis", "pair_sweep");
-  // Sparse sweep: rules with disjoint table footprints commute by
-  // construction (see rule_index.h), so only overlap candidates are
-  // checked. Pairs default to commuting; the sweep records the
-  // noncommuting exceptions. The pairs_swept counter counts materialized
-  // candidate pairs — at high overlap density it approaches n(n-1)/2, on
-  // sparse catalogs it is far smaller. Incremented per row chunk so a
-  // mid-run snapshot shows sweep progress; the total is a pure function of
-  // the catalog, identical for any thread count.
-  syntactically_commute_.assign(n, std::vector<bool>(n, true));
-  const RuleFootprintIndex& index = prelim_.index();
-  auto sweep_row = [&](RuleIndex i) {
-    // Per-row noncommute list: candidates j > i only (symmetry mirrors
-    // them), counted as the swept pairs for this row.
-    std::vector<RuleIndex> noncommute;
-    int64_t pairs = 0;
-    for (RuleIndex j : index.OverlapCandidates(i)) {
-      if (j <= i) continue;
-      ++pairs;
-      if (!SyntacticallyCommutePair(prelim_, i, j)) noncommute.push_back(j);
-    }
-    return std::make_pair(std::move(noncommute), pairs);
-  };
-  if (n < 16) {
-    // Too few pairs to amortize a pool wakeup.
-    for (RuleIndex i = 0; i < n; ++i) {
-      auto [noncommute, pairs] = sweep_row(i);
-      STARBURST_METRIC_COUNT("analysis.pairs_swept", pairs);
-      for (RuleIndex j : noncommute) {
-        syntactically_commute_[i][j] = syntactically_commute_[j][i] = false;
-      }
-    }
-  } else {
-    // Each (i, j) verdict is a pure function of (prelim, i, j), so rows
-    // are swept in parallel. Workers fill disjoint per-row noncommute
-    // lists (vector<bool> packs bits, so the matrix itself is written
-    // sequentially afterwards); verdicts are identical for any thread
-    // count.
-    std::vector<std::vector<RuleIndex>> rows(n);
-    ParallelFor(static_cast<size_t>(n), 1,
-                [&](size_t row_begin, size_t row_end) {
-                  int64_t pairs = 0;
-                  for (size_t i = row_begin; i < row_end; ++i) {
-                    auto [noncommute, row_pairs] =
-                        sweep_row(static_cast<RuleIndex>(i));
-                    rows[i] = std::move(noncommute);
-                    pairs += row_pairs;
-                  }
-                  STARBURST_METRIC_COUNT("analysis.pairs_swept", pairs);
-                });
-    for (RuleIndex i = 0; i < n; ++i) {
-      for (RuleIndex j : rows[i]) {
-        syntactically_commute_[i][j] = syntactically_commute_[j][i] = false;
-      }
-    }
-  }
-  ApplyCertifications();
-}
-
-CommutativityAnalyzer::CommutativityAnalyzer(
-    const PrelimAnalysis& prelim, const Schema& schema,
-    CommutativityCertifications certifications,
-    std::vector<std::vector<bool>> syntactic_matrix)
-    : prelim_(prelim),
-      schema_(schema),
+    : prelim_(&prelim),
+      schema_(&schema),
       certifications_(std::move(certifications)),
-      syntactically_commute_(std::move(syntactic_matrix)) {
-  ApplyCertifications();
+      noncommute_(prelim.num_rules()) {
+  STARBURST_TRACE_SPAN("analysis", "pair_sweep");
+  // The pairs_swept counter counts materialized candidate pairs — at high
+  // overlap density it approaches n(n-1)/2, on sparse catalogs it is far
+  // smaller. The total is a pure function of the catalog.
+  long pairs = Sweep(std::vector<char>(prelim.num_rules(), 1));
+  STARBURST_METRIC_COUNT("analysis.pairs_swept", pairs);
 }
 
-void CommutativityAnalyzer::ApplyCertifications() {
-  // Certification-driven: start from the syntactic verdicts and upgrade
-  // only the certified pairs (O(n²) per-pair name lookups would dominate
-  // large catalogs).
-  commute_ = syntactically_commute_;
-  for (const auto& [a, b] : certifications_.pairs()) {
-    RuleIndex i = prelim_.FindRule(a);
-    RuleIndex j = prelim_.FindRule(b);
-    if (i < 0 || j < 0) continue;  // certification for an absent rule
-    commute_[i][j] = commute_[j][i] = true;
+void CommutativityAnalyzer::Certify(const std::string& a,
+                                    const std::string& b) {
+  certifications_.Certify(a, b);
+  if (auto pair = Resolve(a, b)) {
+    auto it = std::lower_bound(certified_.begin(), certified_.end(), *pair);
+    if (it == certified_.end() || *it != *pair) certified_.insert(it, *pair);
   }
+}
+
+std::optional<std::pair<RuleIndex, RuleIndex>> CommutativityAnalyzer::Resolve(
+    const std::string& a, const std::string& b) const {
+  RuleIndex i = prelim_->FindRule(a);
+  RuleIndex j = prelim_->FindRule(b);
+  if (i < 0 || j < 0 || i == j) return std::nullopt;  // an absent rule
+  return std::minmax(i, j);
+}
+
+void CommutativityAnalyzer::RemoveRuleAt(RuleIndex r) {
+  for (std::vector<RuleIndex>& row : noncommute_) {
+    auto it = std::lower_bound(row.begin(), row.end(), r);
+    if (it != row.end() && *it == r) it = row.erase(it);
+    for (; it != row.end(); ++it) --*it;
+  }
+  noncommute_.erase(noncommute_.begin() + r);
+}
+
+long CommutativityAnalyzer::Sweep(const std::vector<char>& dirty) {
+  // Each overlapping pair with a dirty end is enumerated once: from its
+  // dirty rule, or from the lower index when both are dirty.
+  std::vector<RuleIndex> sources;
+  for (RuleIndex d = 0; d < static_cast<RuleIndex>(dirty.size()); ++d) {
+    if (dirty[d]) sources.push_back(d);
+  }
+  const RuleFootprintIndex& index = prelim_->index();
+  std::vector<std::vector<RuleIndex>> found(sources.size());
+  std::vector<long> checked(sources.size(), 0);
+  auto sweep_rows = [&](size_t begin, size_t end) {
+    for (size_t k = begin; k < end; ++k) {
+      RuleIndex d = sources[k];
+      for (RuleIndex c : index.OverlapCandidates(d)) {
+        if (dirty[c] && c < d) continue;
+        ++checked[k];
+        if (!SyntacticallyCommutePair(*prelim_, d, c)) found[k].push_back(c);
+      }
+    }
+  };
+  if (sources.size() < 16) {
+    sweep_rows(0, sources.size());  // too few rows to amortize a wakeup
+  } else {
+    ParallelFor(sources.size(), 1, sweep_rows);
+  }
+  long pairs = 0;
+  std::vector<char> touched(noncommute_.size(), 0);
+  for (size_t k = 0; k < sources.size(); ++k) {
+    pairs += checked[k];
+    for (RuleIndex c : found[k]) {
+      noncommute_[sources[k]].push_back(c);
+      noncommute_[c].push_back(sources[k]);
+      touched[sources[k]] = touched[c] = 1;
+    }
+  }
+  for (size_t r = 0; r < touched.size(); ++r) {
+    if (touched[r]) std::sort(noncommute_[r].begin(), noncommute_[r].end());
+  }
+  certified_.clear();
+  for (const auto& [a, b] : certifications_.pairs()) {
+    if (auto pair = Resolve(a, b)) certified_.push_back(*pair);
+  }
+  std::sort(certified_.begin(), certified_.end());
+  return pairs;
 }
 
 bool CommutativityAnalyzer::SyntacticallyCommutePair(
@@ -211,11 +203,7 @@ std::vector<NoncommutativityCause> CommutativityAnalyzer::ExplainPair(
 
 std::vector<NoncommutativityCause> CommutativityAnalyzer::Explain(
     RuleIndex i, RuleIndex j) const {
-  return ExplainPair(prelim_, i, j);
-}
-
-bool CommutativityAnalyzer::CertifiedOnly(RuleIndex i, RuleIndex j) const {
-  return commute_[i][j] && !syntactically_commute_[i][j];
+  return ExplainPair(*prelim_, i, j);
 }
 
 }  // namespace starburst

@@ -2,18 +2,18 @@
 
 #include <algorithm>
 #include <iterator>
+#include <tuple>
 
 namespace starburst {
 
 namespace {
 
-/// Worklist form of the Definition 6.5 fixpoint, shared by the dense and
-/// sparse analyzers. Candidates enter a pool when a Triggers edge from the
-/// current set reaches them and are admitted once they gain priority over
-/// some member of the other set; the loop runs to quiescence, so the
-/// result is the least fixpoint — the same sets the quadratic scan
-/// produces, in O(reached edges) instead of O(n) per pass.
-/// `members` restricts candidates when non-null.
+/// Worklist form of the Definition 6.5 fixpoint. Candidates enter a pool
+/// when a Triggers edge from the current set reaches them and are admitted
+/// once they gain priority over some member of the other set; the loop
+/// runs to quiescence, so the result is the least fixpoint — the same sets
+/// the quadratic scan produces, in O(reached edges) instead of O(n) per
+/// pass. `members` restricts candidates when non-null.
 std::pair<std::vector<RuleIndex>, std::vector<RuleIndex>> BuildSetsCore(
     const PrelimAnalysis& prelim, const PriorityOrder& priority, RuleIndex ri,
     RuleIndex rj, const std::vector<bool>* members) {
@@ -111,103 +111,26 @@ ConfluenceReport ConfluenceAnalyzer::Analyze(bool termination_guaranteed,
                                              int max_violations) const {
   std::vector<RuleIndex> all(commutativity_.prelim().num_rules());
   for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<RuleIndex>(i);
-  return AnalyzeImpl(all, termination_guaranteed, max_violations);
+  return AnalyzeSubset(all, termination_guaranteed, max_violations);
 }
 
 ConfluenceReport ConfluenceAnalyzer::AnalyzeSubset(
     const std::vector<RuleIndex>& members, bool termination_guaranteed,
     int max_violations) const {
-  return AnalyzeImpl(members, termination_guaranteed, max_violations);
-}
-
-ConfluenceReport ConfluenceAnalyzer::AnalyzeImpl(
-    const std::vector<RuleIndex>& members, bool termination_guaranteed,
-    int max_violations) const {
+  const PrelimAnalysis& prelim = commutativity_.prelim();
   ConfluenceReport report;
   report.termination_guaranteed = termination_guaranteed;
   report.requirement_holds = true;
 
-  int n = commutativity_.prelim().num_rules();
-  std::vector<bool> member_mask(n, false);
-  for (RuleIndex r : members) member_mask[r] = true;
-
-  auto violations_full = [&]() {
-    return max_violations >= 0 &&
-           static_cast<int>(report.violations.size()) >= max_violations;
-  };
-
-  for (size_t a = 0; a < members.size(); ++a) {
-    for (size_t b = a + 1; b < members.size(); ++b) {
-      RuleIndex ri = members[a];
-      RuleIndex rj = members[b];
-      if (!priority_.Unordered(ri, rj)) continue;
-      ++report.unordered_pairs_checked;
-      auto [r1_set, r2_set] = BuildSetsWithin(ri, rj, member_mask);
-      report.max_set_size =
-          std::max({report.max_set_size, r1_set.size(), r2_set.size()});
-      for (RuleIndex r1 : r1_set) {
-        for (RuleIndex r2 : r2_set) {
-          if (commutativity_.Commute(r1, r2)) continue;
-          report.requirement_holds = false;
-          if (!violations_full()) {
-            ConfluenceViolation violation;
-            violation.pair_i = ri;
-            violation.pair_j = rj;
-            violation.r1 = r1;
-            violation.r2 = r2;
-            violation.set_r1 = r1_set;
-            violation.set_r2 = r2_set;
-            violation.causes = commutativity_.Explain(r1, r2);
-            report.violations.push_back(std::move(violation));
-          }
-        }
-        if (!report.requirement_holds && violations_full()) break;
-      }
-      if (!report.requirement_holds && violations_full()) {
-        report.confluent = false;
-        return report;
-      }
-    }
-  }
-  report.confluent = report.requirement_holds && termination_guaranteed;
-  return report;
-}
-
-SparseConfluenceAnalyzer::SparseConfluenceAnalyzer(
-    const PrelimAnalysis& prelim, const PriorityOrder& priority,
-    const std::vector<std::vector<RuleIndex>>& noncommute,
-    const CommutativityCertifications& certifications)
-    : prelim_(prelim), priority_(priority), noncommute_(noncommute) {
-  for (const auto& [a, b] : certifications.pairs()) {
-    RuleIndex i = prelim_.FindRule(a);
-    RuleIndex j = prelim_.FindRule(b);
-    if (i < 0 || j < 0 || i == j) continue;
-    certified_.emplace(std::min(i, j), std::max(i, j));
-  }
-}
-
-bool SparseConfluenceAnalyzer::Commute(RuleIndex i, RuleIndex j) const {
-  if (i == j) return true;
-  const std::vector<RuleIndex>& row = noncommute_[i];
-  if (!std::binary_search(row.begin(), row.end(), j)) return true;
-  return certified_.count(i < j ? std::make_pair(i, j)
-                                : std::make_pair(j, i)) > 0;
-}
-
-ConfluenceReport SparseConfluenceAnalyzer::Analyze(bool termination_guaranteed,
-                                                   int max_violations) const {
-  ConfluenceReport report;
-  report.termination_guaranteed = termination_guaranteed;
-  report.requirement_holds = true;
-  int n = prelim_.num_rules();
-
-  // can-seed(x): some rule triggered by x has a rule below it in P — the
-  // only way the pair's first Definition 6.5 growth step can fire.
-  std::vector<bool> can_seed(n, false);
+  std::vector<bool> member(prelim.num_rules(), false);
+  for (RuleIndex r : members) member[r] = true;
+  // can-seed(x): some member rule triggered by x has a rule below it in P
+  // — the only way the pair's first Definition 6.5 growth step can fire.
+  std::vector<bool> can_seed(prelim.num_rules(), false);
   std::vector<RuleIndex> seeds;  // ascending
-  for (RuleIndex x = 0; x < n; ++x) {
-    for (RuleIndex w : prelim_.Triggers(x)) {
-      if (priority_.HasLowerRule(w)) {
+  for (RuleIndex x : members) {
+    for (RuleIndex w : prelim.Triggers(x)) {
+      if (member[w] && priority_.HasLowerRule(w)) {
         can_seed[x] = true;
         seeds.push_back(x);
         break;
@@ -220,92 +143,63 @@ ConfluenceReport SparseConfluenceAnalyzer::Analyze(bool termination_guaranteed,
            static_cast<int>(report.violations.size()) >= max_violations;
   };
 
-  bool truncated = false;
-  RuleIndex stop_a = -1, stop_b = -1;
+  size_t stop = members.size();  // position of the stopping pair's a
+  RuleIndex stop_b = -1;
   std::vector<RuleIndex> partners;
-  for (RuleIndex a = 0; a < n && !truncated; ++a) {
+  for (size_t p = 0; p < members.size() && stop == members.size(); ++p) {
+    RuleIndex a = members[p];
     partners.clear();
     if (can_seed[a]) {
-      for (RuleIndex b = a + 1; b < n; ++b) partners.push_back(b);
+      partners.assign(members.begin() + p + 1, members.end());
     } else {
       // Only growable pairs (partner can seed) and noncommuting singleton
       // pairs can produce violations; merge both sorted lists above `a`.
-      const std::vector<RuleIndex>& row = noncommute_[a];
+      const std::vector<RuleIndex>& row = commutativity_.Noncommute(a);
       std::set_union(std::upper_bound(row.begin(), row.end(), a), row.end(),
                      std::upper_bound(seeds.begin(), seeds.end(), a),
                      seeds.end(), std::back_inserter(partners));
     }
     for (RuleIndex b : partners) {
-      if (!priority_.Unordered(a, b)) continue;
+      if (!member[b] || !priority_.Unordered(a, b)) continue;
+      std::vector<RuleIndex> r1_set{a}, r2_set{b};
       if (can_seed[a] || can_seed[b]) {
-        auto [r1_set, r2_set] = BuildSetsCore(prelim_, priority_, a, b,
-                                              nullptr);
+        std::tie(r1_set, r2_set) = BuildSetsWithin(a, b, member);
         report.max_set_size =
             std::max({report.max_set_size, r1_set.size(), r2_set.size()});
-        for (RuleIndex r1 : r1_set) {
-          for (RuleIndex r2 : r2_set) {
-            if (Commute(r1, r2)) continue;
-            report.requirement_holds = false;
-            if (!violations_full()) {
-              ConfluenceViolation violation;
-              violation.pair_i = a;
-              violation.pair_j = b;
-              violation.r1 = r1;
-              violation.r2 = r2;
-              violation.set_r1 = r1_set;
-              violation.set_r2 = r2_set;
-              violation.causes =
-                  CommutativityAnalyzer::ExplainPair(prelim_, r1, r2);
-              report.violations.push_back(std::move(violation));
-            }
-          }
-          if (!report.requirement_holds && violations_full()) break;
+      }
+      for (RuleIndex r1 : r1_set) {
+        for (RuleIndex r2 : r2_set) {
+          if (commutativity_.Commute(r1, r2)) continue;
+          report.requirement_holds = false;
+          if (violations_full()) continue;
+          report.violations.push_back({a, b, r1, r2, r1_set, r2_set,
+                                       commutativity_.Explain(r1, r2)});
         }
-      } else if (!Commute(a, b)) {
-        // Singleton sets {a}, {b}: the pair itself is the only witness.
-        report.requirement_holds = false;
-        if (!violations_full()) {
-          ConfluenceViolation violation;
-          violation.pair_i = a;
-          violation.pair_j = b;
-          violation.r1 = a;
-          violation.r2 = b;
-          violation.set_r1 = {a};
-          violation.set_r2 = {b};
-          violation.causes = CommutativityAnalyzer::ExplainPair(prelim_, a, b);
-          report.violations.push_back(std::move(violation));
-        }
+        if (!report.requirement_holds && violations_full()) break;
       }
       if (!report.requirement_holds && violations_full()) {
-        stop_a = a;
+        stop = p;
         stop_b = b;
-        truncated = true;
         break;
       }
     }
   }
 
-  if (truncated) {
-    // Unordered pairs up to and including the stopping pair in (a, b)
-    // lexicographic order — skipped pairs never mutate the report, so the
-    // stopping pair matches the dense scan and the count is reconstructed
-    // in closed form from the priority order.
-    long count = 0;
-    for (RuleIndex x = 0; x < stop_a; ++x) {
-      count += (n - 1 - x) - priority_.NumOrderedPartnersAbove(x);
-    }
-    for (RuleIndex y = stop_a + 1; y <= stop_b; ++y) {
-      if (priority_.Unordered(stop_a, y)) ++count;
-    }
-    report.unordered_pairs_checked = static_cast<int>(count);
-    report.max_set_size = std::max<size_t>(report.max_set_size, 1);
-    report.confluent = false;
-    return report;
+  // Unordered member pairs in (a, b) order, up to and including the
+  // stopping pair when the report was truncated. Skipped pairs never
+  // mutate the report, so only their count and their singleton sets
+  // remain to be accounted for.
+  long count = 0;
+  const long m = static_cast<long>(members.size());
+  for (size_t p = 0; p < members.size() && p < stop; ++p) {
+    count += (m - 1 - static_cast<long>(p)) -
+             priority_.NumOrderedPartnersAbove(members[p], member);
   }
-  long total =
-      static_cast<long>(n) * (n - 1) / 2 - priority_.num_ordered_pairs();
-  report.unordered_pairs_checked = static_cast<int>(total);
-  if (total > 0) report.max_set_size = std::max<size_t>(report.max_set_size, 1);
+  for (size_t q = stop + 1; q < members.size() && members[q] <= stop_b; ++q) {
+    if (priority_.Unordered(members[stop], members[q])) ++count;
+  }
+  report.unordered_pairs_checked = static_cast<int>(count);
+  if (count > 0) report.max_set_size = std::max<size_t>(report.max_set_size, 1);
   report.confluent = report.requirement_holds && termination_guaranteed;
   return report;
 }

@@ -1,7 +1,6 @@
 #ifndef STARBURST_ANALYSIS_CONFLUENCE_H_
 #define STARBURST_ANALYSIS_CONFLUENCE_H_
 
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -22,6 +21,8 @@ struct ConfluenceViolation {
   std::vector<RuleIndex> set_r1;
   std::vector<RuleIndex> set_r2;
   std::vector<NoncommutativityCause> causes;
+
+  bool operator==(const ConfluenceViolation&) const = default;
 };
 
 /// Result of confluence analysis (Theorem 6.7). `confluent` requires both
@@ -44,6 +45,20 @@ struct ConfluenceReport {
 /// Confluence analysis per Section 6: for every pair of unordered rules,
 /// build the mutually recursive sets R1 and R2 of Definition 6.5 and check
 /// all of R1 × R2 pairwise for commutativity.
+///
+/// The scan over a sorted member set materializes a pair (a, b) only when
+/// it can matter:
+///   - the pair can *grow* beyond singleton sets — possible only when
+///     can-seed(a) or can-seed(b), where can-seed(x) ⇔ some member rule
+///     triggered by x has a lower-priority rule (a sound over-approximation
+///     of the first Definition 6.5 growth step); or
+///   - the singleton pair is syntactically noncommutative (b appears in
+///     a's noncommute row).
+/// Every other unordered pair keeps singleton sets {a}, {b} that commute,
+/// so it counts towards the statistics but cannot produce a violation; the
+/// statistics are reconstructed in closed form. Violations are reported in
+/// (a, b) lexicographic order, exactly as an all-pairs scan would find
+/// them.
 class ConfluenceAnalyzer {
  public:
   /// `commutativity` and `priority` must outlive the analyzer and cover
@@ -69,61 +84,15 @@ class ConfluenceAnalyzer {
                            int max_violations = -1) const;
 
   /// Analyzes the subset `members` only (unordered pairs within the
-  /// subset, Definition 6.5 relative to the subset).
+  /// subset, Definition 6.5 relative to the subset). `members` must be
+  /// sorted ascending without duplicates.
   ConfluenceReport AnalyzeSubset(const std::vector<RuleIndex>& members,
                                  bool termination_guaranteed,
                                  int max_violations = -1) const;
 
  private:
-  ConfluenceReport AnalyzeImpl(const std::vector<RuleIndex>& members,
-                               bool termination_guaranteed,
-                               int max_violations) const;
-
   const CommutativityAnalyzer& commutativity_;
   const PriorityOrder& priority_;
-};
-
-/// Sparse confluence scan over the full rule set, driven by the per-rule
-/// noncommute adjacency maintained by the incremental analyzer instead of
-/// a dense commutativity matrix.
-///
-/// The scan materializes a pair (a, b) only when it can matter:
-///   - the pair can *grow* beyond singleton sets — possible only when
-///     can-seed(a) or can-seed(b), where can-seed(x) ⇔ some rule triggered
-///     by x has a lower-priority rule (a sound over-approximation of the
-///     first Definition 6.5 growth step); or
-///   - the singleton pair is syntactically noncommutative (b appears in
-///     noncommute[a]).
-/// Every other unordered pair keeps singleton sets {a}, {b} that commute,
-/// so it contributes to the statistics but cannot produce a violation; the
-/// statistics are reconstructed in closed form. Verdicts, violations (and
-/// their order), and statistics are bit-identical to ConfluenceAnalyzer
-/// over the same rule set.
-class SparseConfluenceAnalyzer {
- public:
-  /// `noncommute[i]` must be the sorted list of rules j ≠ i that fail the
-  /// Lemma 6.1 syntactic check against i (symmetric, certifications NOT
-  /// applied). All references must outlive the analyzer.
-  SparseConfluenceAnalyzer(
-      const PrelimAnalysis& prelim, const PriorityOrder& priority,
-      const std::vector<std::vector<RuleIndex>>& noncommute,
-      const CommutativityCertifications& certifications);
-
-  /// Mirrors ConfluenceAnalyzer::Analyze over the full rule set.
-  ConfluenceReport Analyze(bool termination_guaranteed,
-                           int max_violations = -1) const;
-
-  /// True when i and j are (conservatively) guaranteed to commute, with
-  /// certifications applied — the sparse equivalent of
-  /// CommutativityAnalyzer::Commute.
-  bool Commute(RuleIndex i, RuleIndex j) const;
-
- private:
-  const PrelimAnalysis& prelim_;
-  const PriorityOrder& priority_;
-  const std::vector<std::vector<RuleIndex>>& noncommute_;
-  /// Certified pairs resolved to normalized (lo, hi) index pairs.
-  std::set<std::pair<RuleIndex, RuleIndex>> certified_;
 };
 
 }  // namespace starburst

@@ -1,30 +1,27 @@
 #include "analysis/incremental.h"
 
-#include <cstdint>
+#include <algorithm>
 #include <utility>
 
 #include "analysis/priority.h"
 #include "common/metrics.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 
 namespace starburst {
 
 IncrementalAnalyzer::IncrementalAnalyzer(
     const Schema* schema, CommutativityCertifications certifications)
-    : schema_(schema), certifications_(std::move(certifications)) {}
-
-const std::string& IncrementalAnalyzer::rule_name(RuleIndex i) const {
-  return prelim_.rule(i).name;
-}
+    : schema_(schema),
+      prelim_(std::make_unique<PrelimAnalysis>()),
+      commutativity_(*prelim_, *schema, std::move(certifications)) {}
 
 void IncrementalAnalyzer::RebuildPriorityEdges() {
-  int n = prelim_.num_rules();
+  int n = prelim_->num_rules();
   prio_out_.assign(n, {});
   have_dangling_ = false;
   for (int i = 0; i < n; ++i) {
     for (const std::string& other : rules_[i].precedes) {
-      RuleIndex j = prelim_.FindRule(other);
+      RuleIndex j = prelim_->FindRule(other);
       if (j < 0) {
         have_dangling_ = true;
         continue;
@@ -32,7 +29,7 @@ void IncrementalAnalyzer::RebuildPriorityEdges() {
       prio_out_[i].push_back(j);
     }
     for (const std::string& other : rules_[i].follows) {
-      RuleIndex j = prelim_.FindRule(other);
+      RuleIndex j = prelim_->FindRule(other);
       if (j < 0) {
         have_dangling_ = true;
         continue;
@@ -47,7 +44,7 @@ Status IncrementalAnalyzer::CheckPriorityAcyclic(
     const std::vector<RuleIndex>& out_targets,
     const std::vector<RuleIndex>& in_sources) const {
   if (out_targets.empty() || in_sources.empty()) return Status::OK();
-  int n = prelim_.num_rules();
+  int n = prelim_->num_rules();
   std::vector<char> is_source(n, 0);
   for (RuleIndex s : in_sources) is_source[s] = 1;
   // DFS from the new rule's lower neighbors; reaching a higher neighbor
@@ -82,7 +79,7 @@ Status IncrementalAnalyzer::CheckPriorityAcyclic(
   for (RuleIndex v = parent[hit]; v >= 0; v = parent[v]) {
     min_node = std::min(min_node, v);
   }
-  const std::string& who = prelim_.rule(min_node).name;
+  const std::string& who = prelim_->rule(min_node).name;
   return Status::SemanticError(
       "priority ordering is cyclic (rule '" + who +
       "' transitively precedes itself); precedes/follows must define a "
@@ -90,7 +87,7 @@ Status IncrementalAnalyzer::CheckPriorityAcyclic(
 }
 
 Status IncrementalAnalyzer::AddRule(RuleDef rule) {
-  if (prelim_.FindRule(rule.name) >= 0) {
+  if (prelim_->FindRule(rule.name) >= 0) {
     return Status::SemanticError("duplicate rule name '" + rule.name + "'");
   }
   auto computed = PrelimAnalysis::ComputeRule(*schema_, rule);
@@ -107,7 +104,7 @@ Status IncrementalAnalyzer::AddRule(RuleDef rule) {
           "' transitively precedes itself); precedes/follows must define a "
           "partial order");
     }
-    RuleIndex j = prelim_.FindRule(other);
+    RuleIndex j = prelim_->FindRule(other);
     if (j < 0) {
       return Status::SemanticError("rule '" + rule.name +
                                    "' precedes unknown rule '" + other + "'");
@@ -121,7 +118,7 @@ Status IncrementalAnalyzer::AddRule(RuleDef rule) {
           "' transitively precedes itself); precedes/follows must define a "
           "partial order");
     }
-    RuleIndex j = prelim_.FindRule(other);
+    RuleIndex j = prelim_->FindRule(other);
     if (j < 0) {
       return Status::SemanticError("rule '" + rule.name +
                                    "' follows unknown rule '" + other + "'");
@@ -131,35 +128,30 @@ Status IncrementalAnalyzer::AddRule(RuleDef rule) {
   STARBURST_RETURN_IF_ERROR(CheckPriorityAcyclic(out_targets, in_sources));
 
   // Commit.
-  RuleIndex n = prelim_.AppendComputed(std::move(computed).value());
+  RuleIndex n = prelim_->AppendComputed(std::move(computed).value());
   rules_.push_back(std::move(rule));
   term_cache_.rule_versions[ToLower(rules_.back().name)] = next_version_++;
-  noncommute_.emplace_back();
+  commutativity_.AppendRule();
   dirty_.push_back(1);
   if (!prio_edges_stale_) {
     prio_out_.push_back(std::move(out_targets));
     for (RuleIndex s : in_sources) prio_out_[s].push_back(n);
   }
   overlap_pairs_ +=
-      static_cast<long>(prelim_.index().OverlapCandidates(n).size());
+      static_cast<long>(prelim_->index().OverlapCandidates(n).size());
   return Status::OK();
 }
 
 Status IncrementalAnalyzer::RemoveRule(const std::string& name) {
-  RuleIndex r = prelim_.FindRule(name);
+  RuleIndex r = prelim_->FindRule(name);
   if (r < 0) return Status::NotFound("no rule named '" + name + "'");
   overlap_pairs_ -=
-      static_cast<long>(prelim_.index().OverlapCandidates(r).size());
-  for (std::vector<RuleIndex>& row : noncommute_) {
-    auto it = std::lower_bound(row.begin(), row.end(), r);
-    if (it != row.end() && *it == r) it = row.erase(it);
-    for (; it != row.end(); ++it) --*it;
-  }
-  noncommute_.erase(noncommute_.begin() + r);
+      static_cast<long>(prelim_->index().OverlapCandidates(r).size());
+  commutativity_.RemoveRuleAt(r);
   dirty_.erase(dirty_.begin() + r);
   term_cache_.rule_versions.erase(ToLower(rules_[r].name));
   rules_.erase(rules_.begin() + r);
-  prelim_.RemoveRuleAt(r);
+  prelim_->RemoveRuleAt(r);
   // Indices shifted; rebuild the direct priority edges lazily.
   prio_out_.clear();
   prio_edges_stale_ = true;
@@ -171,52 +163,14 @@ Result<IncrementalAnalyzer::RunResult> IncrementalAnalyzer::Analyze(
   // Full clause resolution every analysis: this is where dangling
   // precedes/follows left by RemoveRule surface as errors.
   STARBURST_ASSIGN_OR_RETURN(PriorityOrder priority,
-                             PriorityOrder::Build(prelim_, rules_));
+                             PriorityOrder::Build(*prelim_, rules_));
   RunResult result;
 
   // Pair sweep over dirty rules only. A dirty rule is always newly added
   // (a redefinition is Remove + Add), so its noncommute row is empty and
-  // there are no stale verdicts to purge. Misses are computed in parallel
-  // (each verdict is a pure function of the pair), then folded back
-  // sequentially — the adjacency and the counters are identical for any
-  // thread count.
-  int n = prelim_.num_rules();
-  struct Miss {
-    RuleIndex d;
-    RuleIndex c;
-  };
-  std::vector<Miss> misses;
-  for (RuleIndex d = 0; d < n; ++d) {
-    if (!dirty_[d]) continue;
-    for (RuleIndex c : prelim_.index().OverlapCandidates(d)) {
-      if (dirty_[c] && c < d) continue;  // pair enumerated from c's sweep
-      misses.push_back({d, c});
-    }
-  }
-  std::vector<uint8_t> verdicts(misses.size(), 0);
-  ParallelFor(misses.size(), 8, [&](size_t begin, size_t end) {
-    for (size_t k = begin; k < end; ++k) {
-      verdicts[k] = CommutativityAnalyzer::SyntacticallyCommutePair(
-                        prelim_, misses[k].d, misses[k].c)
-                        ? 1
-                        : 0;
-    }
-  });
-  std::vector<RuleIndex> touched;
-  for (size_t k = 0; k < misses.size(); ++k) {
-    if (verdicts[k] != 0) continue;
-    noncommute_[misses[k].d].push_back(misses[k].c);
-    noncommute_[misses[k].c].push_back(misses[k].d);
-    touched.push_back(misses[k].d);
-    touched.push_back(misses[k].c);
-  }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (RuleIndex t : touched) {
-    std::sort(noncommute_[t].begin(), noncommute_[t].end());
-  }
+  // there are no stale verdicts to purge.
+  result.stats.pair_checks_computed = commutativity_.Sweep(dirty_);
   std::fill(dirty_.begin(), dirty_.end(), 0);
-  result.stats.pair_checks_computed = static_cast<long>(misses.size());
   result.stats.pair_checks_reused =
       overlap_pairs_ - result.stats.pair_checks_computed;
   STARBURST_METRIC_COUNT("analysis.pair_cache_hits",
@@ -226,14 +180,13 @@ Result<IncrementalAnalyzer::RunResult> IncrementalAnalyzer::Analyze(
 
   long hits_before = term_cache_.hits;
   long misses_before = term_cache_.misses;
-  result.termination = TerminationAnalyzer::Analyze(prelim_, certs,
+  result.termination = TerminationAnalyzer::Analyze(*prelim_, certs,
                                                     &term_cache_);
   result.stats.termination_components_reused = term_cache_.hits - hits_before;
   result.stats.termination_components_recomputed =
       term_cache_.misses - misses_before;
 
-  SparseConfluenceAnalyzer confluence(prelim_, priority, noncommute_,
-                                      certifications_);
+  ConfluenceAnalyzer confluence(commutativity_, priority);
   result.confluence =
       confluence.Analyze(result.termination.guaranteed, max_violations);
   return result;

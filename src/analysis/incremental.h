@@ -1,8 +1,8 @@
 #ifndef STARBURST_ANALYSIS_INCREMENTAL_H_
 #define STARBURST_ANALYSIS_INCREMENTAL_H_
 
-#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,9 +37,10 @@ struct IncrementalStats {
 ///     validations, not O(k²) (no catalog clone, no full recompute).
 ///   - Lemma 6.1 commutativity is a property of a *pair* of rules, and
 ///     pairs with disjoint table footprints commute by construction
-///     (rule_index.h), so the pair state is a per-rule noncommute
-///     adjacency over overlapping pairs only, and an edit dirties just the
-///     pairs involving the edited rule.
+///     (rule_index.h), so the pair state is CommutativityAnalyzer's
+///     noncommute rows over overlapping pairs only, an edit dirties just
+///     the pairs involving the edited rule, and Analyze() runs the same
+///     ConfluenceAnalyzer as Analyzer over those rows in place.
 ///   - Termination discharge verdicts are per cyclic component, so after
 ///     an edit only components containing an edited rule (dirty SCCs)
 ///     recompute (TerminationComponentCache).
@@ -71,18 +72,11 @@ class IncrementalAnalyzer {
   /// tests to show a k-rule build does O(k) validation work.
   long rule_validations() const { return rule_validations_; }
 
-  /// The rule's name (indices follow registration order, shifted down by
-  /// removals — the same indices the reports use).
-  const std::string& rule_name(RuleIndex i) const;
-
   /// True when the pair is (conservatively) guaranteed to commute, with
   /// certifications applied. Reflects the pair state as of the most recent
   /// Analyze(); pairs involving rules added since then are unreliable.
   bool PairCommutes(RuleIndex i, RuleIndex j) const {
-    if (i == j) return true;
-    const std::vector<RuleIndex>& row = noncommute_[i];
-    if (!std::binary_search(row.begin(), row.end(), j)) return true;
-    return certifications_.Contains(rule_name(i), rule_name(j));
+    return commutativity_.Commute(i, j);
   }
 
   /// Runs termination + confluence over the current rule set, reusing
@@ -108,13 +102,12 @@ class IncrementalAnalyzer {
                               const std::vector<RuleIndex>& in_sources) const;
 
   const Schema* schema_;
-  CommutativityCertifications certifications_;
   std::vector<RuleDef> rules_;
-  /// Live prelim state, updated in place by AddRule/RemoveRule.
-  PrelimAnalysis prelim_;
-  /// noncommute_[i]: sorted rules j that fail the Lemma 6.1 check against
-  /// i (certifications not applied). Symmetric; covers analyzed pairs.
-  std::vector<std::vector<RuleIndex>> noncommute_;
+  /// Live prelim state, updated in place by AddRule/RemoveRule. Heap-held
+  /// so commutativity_ keeps pointing at it when the analyzer moves.
+  std::unique_ptr<PrelimAnalysis> prelim_;
+  /// Lemma 6.1 rows over the live rules; covers analyzed pairs.
+  CommutativityAnalyzer commutativity_;
   /// Rules added since the last Analyze(); their pairs need checking.
   std::vector<char> dirty_;
   /// Structural count of overlapping unordered pairs, maintained ±

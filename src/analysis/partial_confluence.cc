@@ -1,5 +1,7 @@
 #include "analysis/partial_confluence.h"
 
+#include <algorithm>
+
 namespace starburst {
 
 std::vector<RuleIndex> PartialConfluenceAnalyzer::SignificantRules(
@@ -7,32 +9,28 @@ std::vector<RuleIndex> PartialConfluenceAnalyzer::SignificantRules(
   const PrelimAnalysis& prelim = commutativity_.prelim();
   int n = prelim.num_rules();
   std::vector<bool> significant(n, false);
+  std::vector<RuleIndex> frontier;
 
   // Seed: rules that modify any table in T'.
   for (RuleIndex r = 0; r < n; ++r) {
     for (const Operation& op : prelim.rule(r).performs) {
-      for (TableId t : tables) {
-        if (op.table == t) {
-          significant[r] = true;
-          break;
-        }
+      if (std::find(tables.begin(), tables.end(), op.table) != tables.end()) {
+        significant[r] = true;
+        frontier.push_back(r);
+        break;
       }
-      if (significant[r]) break;
     }
   }
-  // Fixpoint: add rules that do not commute with a significant rule.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (RuleIndex r = 0; r < n; ++r) {
-      if (significant[r]) continue;
-      for (RuleIndex s = 0; s < n; ++s) {
-        if (significant[s] && !commutativity_.Commute(r, s)) {
-          significant[r] = true;
-          changed = true;
-          break;
-        }
-      }
+  // Closure: add rules that do not commute with a significant rule. Only
+  // the rules in a significant rule's noncommute row can fail to commute
+  // with it, so the walk visits each row once.
+  while (!frontier.empty()) {
+    RuleIndex s = frontier.back();
+    frontier.pop_back();
+    for (RuleIndex r : commutativity_.Noncommute(s)) {
+      if (significant[r] || commutativity_.Commute(r, s)) continue;
+      significant[r] = true;
+      frontier.push_back(r);
     }
   }
   std::vector<RuleIndex> out;

@@ -50,19 +50,23 @@ class PriorityOrder {
   }
 
   /// True when some rule is below `ri` in P. Only such rules can seed
-  /// growth of the Definition 6.5 R1/R2 sets — the sparse confluence scan
-  /// uses this to keep disjoint-footprint pairs out of the fixpoint.
+  /// growth of the Definition 6.5 R1/R2 sets — the confluence scan uses
+  /// this to keep disjoint-footprint pairs out of the fixpoint.
   bool HasLowerRule(RuleIndex ri) const { return !below_[ri].empty(); }
 
-  /// Number of partners j with index j > ri that are ordered relative to
-  /// ri (either direction). Supports the truncated unordered-pair count in
-  /// the sparse confluence scan.
-  int NumOrderedPartnersAbove(RuleIndex ri) const {
-    const std::vector<RuleIndex>& up = above_[ri];
-    const std::vector<RuleIndex>& down = below_[ri];
-    return static_cast<int>(
-        (up.end() - std::upper_bound(up.begin(), up.end(), ri)) +
-        (down.end() - std::upper_bound(down.begin(), down.end(), ri)));
+  /// Number of rules j > ri with members[j] set that are ordered relative
+  /// to ri (either direction). Supports the closed-form unordered-pair
+  /// count of the confluence scan.
+  int NumOrderedPartnersAbove(RuleIndex ri,
+                              const std::vector<bool>& members) const {
+    int count = 0;
+    for (const std::vector<RuleIndex>* row : {&above_[ri], &below_[ri]}) {
+      for (auto it = std::upper_bound(row->begin(), row->end(), ri);
+           it != row->end(); ++it) {
+        count += members[*it] ? 1 : 0;
+      }
+    }
+    return count;
   }
 
   /// Choose(R') of Section 3: the triggered rules in `triggered` with no

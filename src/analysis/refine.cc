@@ -550,11 +550,11 @@ CommutativityCertifications PredicateRefiner::Refine() const {
   CommutativityCertifications certs;
   int n = prelim_.num_rules();
   for (RuleIndex i = 0; i < n; ++i) {
-    for (RuleIndex j = i + 1; j < n; ++j) {
-      if (CommutativityAnalyzer::SyntacticallyCommutePair(prelim_, i, j)) {
-        continue;
-      }
-      if (PairCommutes(i, j)) {
+    // Only overlapping pairs can fail Lemma 6.1 (rule_index.h).
+    for (RuleIndex j : prelim_.index().OverlapCandidates(i)) {
+      if (j > i && !CommutativityAnalyzer::SyntacticallyCommutePair(
+                       prelim_, i, j) &&
+          PairCommutes(i, j)) {
         certs.Certify(prelim_.rule(i).name, prelim_.rule(j).name);
       }
     }

@@ -45,8 +45,10 @@ std::vector<std::string> CorollaryLints(
   int n = prelim.num_rules();
   bool no_priorities = priority.num_ordered_pairs() == 0;
   for (RuleIndex i = 0; i < n; ++i) {
-    for (RuleIndex j = i + 1; j < n; ++j) {
-      if (!priority.Unordered(i, j)) continue;
+    // Both corollaries need a noncommuting pair (a Triggers edge fails
+    // Lemma 6.1 condition 1), so only the noncommute rows are walked.
+    for (RuleIndex j : commutativity.Noncommute(i)) {
+      if (j < i || !priority.Unordered(i, j)) continue;
       const std::string& a = prelim.rule(i).name;
       const std::string& b = prelim.rule(j).name;
       if (prelim.TriggersRule(i, j) || prelim.TriggersRule(j, i)) {

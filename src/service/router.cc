@@ -80,10 +80,19 @@ std::string TenantInfoJson(const TenantInfo& info) {
          ",\"tables\":" + std::to_string(info.num_tables) + "}";
 }
 
-/// Parses a non-negative integer query parameter; falls back to
-/// `fallback` when absent, fails on garbage.
+/// Server maxima for client-supplied budgets: one request may hold its
+/// tenant's strand for at most this much rule processing, and witness
+/// reconstruction recurses at most kMaxWitnessDepth deep.
+constexpr long kMaxTransitionSteps = 100000;
+constexpr long kMaxWitnessSteps = 1000000;
+constexpr long kMaxWitnessDepth = 256;
+/// Upper bound for every other integer query parameter.
+constexpr long kMaxIntParam = 1000000000L;
+
+/// Parses a non-negative integer query parameter of at most `max`; falls
+/// back to `fallback` when absent, fails on garbage.
 Result<long> IntParam(const HttpRequest& request, const char* key,
-                      long fallback) {
+                      long fallback, long max = kMaxIntParam) {
   const std::string* raw = request.QueryParam(key);
   if (raw == nullptr) return fallback;
   if (raw->empty()) {
@@ -96,9 +105,10 @@ Result<long> IntParam(const HttpRequest& request, const char* key,
                                      ": '" + *raw + "'");
     }
     value = value * 10 + (c - '0');
-    if (value > 1000000000L) {
+    if (value > max) {
       return Status::InvalidArgument(std::string("value too large for ?") +
-                                     key);
+                                     key + " (max " + std::to_string(max) +
+                                     ")");
     }
   }
   return value;
@@ -321,7 +331,8 @@ HttpResponse ServiceRouter::HandleTenantVerb(const HttpRequest& request,
     }
     Result<long> commit = IntParam(request, "commit", 1);
     if (!commit.ok()) return ErrorResponse(commit.status());
-    Result<long> max_steps = IntParam(request, "max_steps", 10000);
+    Result<long> max_steps =
+        IntParam(request, "max_steps", 10000, kMaxTransitionSteps);
     if (!max_steps.ok()) return ErrorResponse(max_steps.status());
 
     // Statements run against a copy so a mid-transaction error (which
@@ -370,9 +381,11 @@ HttpResponse ServiceRouter::HandleTenantVerb(const HttpRequest& request,
           Status::InvalidArgument("empty witness body (one SQL statement per "
                                   "line)"));
     }
-    Result<long> max_depth = IntParam(request, "max_depth", 64);
+    Result<long> max_depth =
+        IntParam(request, "max_depth", 64, kMaxWitnessDepth);
     if (!max_depth.ok()) return ErrorResponse(max_depth.status());
-    Result<long> max_steps = IntParam(request, "max_steps", 200000);
+    Result<long> max_steps =
+        IntParam(request, "max_steps", 200000, kMaxWitnessSteps);
     if (!max_steps.ok()) return ErrorResponse(max_steps.status());
     ExplorerOptions explorer_options;
     explorer_options.max_depth = static_cast<int>(max_depth.value());

@@ -6,6 +6,7 @@
 #include "analysis/incremental.h"
 #include "analysis/json_report.h"
 #include "analysis/observable.h"
+#include "analysis/partial_confluence.h"
 #include "analysis/priority.h"
 #include "analysis/termination.h"
 #include "common/thread_pool.h"
@@ -53,6 +54,13 @@ ExplorerOptions ExploreOptions(const OracleOptions& options) {
   eo.max_depth = options.max_depth;
   eo.max_total_steps = options.max_total_steps;
   return eo;
+}
+
+std::vector<RuleDef> CloneRules(const std::vector<RuleDef>& rules) {
+  std::vector<RuleDef> out;
+  out.reserve(rules.size());
+  for (const RuleDef& rule : rules) out.push_back(rule.Clone());
+  return out;
 }
 
 OracleOutcome TerminationSound(const GeneratedRuleSet& set,
@@ -137,9 +145,7 @@ OracleOutcome BackendEquivalence(const GeneratedRuleSet& set,
   std::string divergence;
   for (size_t i = 0; i < options.backend_thread_counts.size(); ++i) {
     ThreadPool::SetDefaultThreadCount(options.backend_thread_counts[i]);
-    std::vector<RuleDef> rules;
-    for (const RuleDef& r : set.rules) rules.push_back(r.Clone());
-    auto analyzer = Analyzer::Create(set.schema.get(), std::move(rules));
+    auto analyzer = Analyzer::Create(set.schema.get(), CloneRules(set.rules));
     if (!analyzer.ok()) {
       divergence = analyzer.status().ToString();
       break;
@@ -219,9 +225,7 @@ OracleOutcome DeltaEquivalence(const GeneratedRuleSet& set,
   // analysis results (it shares the catalog, schema, and the databases'
   // mutable canonical-string caches).
   auto report_json = [&set]() -> Result<std::string> {
-    std::vector<RuleDef> rules;
-    for (const RuleDef& r : set.rules) rules.push_back(r.Clone());
-    auto analyzer = Analyzer::Create(set.schema.get(), std::move(rules));
+    auto analyzer = Analyzer::Create(set.schema.get(), CloneRules(set.rules));
     if (!analyzer.ok()) return analyzer.status();
     return FullReportToJson(analyzer.value().AnalyzeAll(8),
                             analyzer.value().catalog());
@@ -360,14 +364,96 @@ OracleOutcome PorEquivalence(const GeneratedRuleSet& set, uint64_t data_seed,
   return Pass();
 }
 
-/// One full-vs-incremental comparison at a given violation cap: verdicts,
-/// reports field-for-field, and (via the caller) the pair matrix must be
-/// identical. Returns an empty string on agreement, else the mismatch.
-std::string CompareFullVsIncremental(const Schema& schema,
-                                     const std::vector<RuleDef>& current,
-                                     IncrementalAnalyzer* inc,
-                                     int max_violations) {
-  // From-scratch reference analysis.
+/// Field-for-field comparison of a reference and a production confluence
+/// report. Returns an empty string on agreement, else the first mismatch.
+std::string DiffConfluenceReports(const ConfluenceReport& want,
+                                  const ConfluenceReport& got) {
+  if (want.requirement_holds != got.requirement_holds ||
+      want.confluent != got.confluent) {
+    return "confluence verdict differs";
+  }
+  if (want.unordered_pairs_checked != got.unordered_pairs_checked) {
+    return "unordered_pairs_checked differs: reference=" +
+           std::to_string(want.unordered_pairs_checked) +
+           " production=" + std::to_string(got.unordered_pairs_checked);
+  }
+  if (want.max_set_size != got.max_set_size) return "max_set_size differs";
+  if (want.violations.size() != got.violations.size()) {
+    return "violation counts differ: reference=" +
+           std::to_string(want.violations.size()) +
+           " production=" + std::to_string(got.violations.size());
+  }
+  for (size_t k = 0; k < want.violations.size(); ++k) {
+    if (!(want.violations[k] == got.violations[k])) {
+      return "violation " + std::to_string(k) + " differs";
+    }
+  }
+  return "";
+}
+
+/// Lemma 6.1 with certifications applied, decided from the prelim sets
+/// and the certified names — never from a CommutativityAnalyzer's rows.
+bool ReferenceCommute(const PrelimAnalysis& prelim,
+                      const CommutativityCertifications& certs, RuleIndex i,
+                      RuleIndex j) {
+  return CommutativityAnalyzer::SyntacticallyCommutePair(prelim, i, j) ||
+         certs.Contains(prelim.rule(i).name, prelim.rule(j).name);
+}
+
+/// The reference for ConfluenceAnalyzer's scan: Definition 6.5 built for
+/// every unordered pair of the sorted `members`, in (a, b) order, and all
+/// of R1 × R2 checked with ReferenceCommute. No can-seed shortcut and no
+/// closed-form counts; report and truncation semantics match production.
+ConfluenceReport ReferenceConfluenceScan(
+    const CommutativityAnalyzer& commutativity, const PriorityOrder& priority,
+    const CommutativityCertifications& certs,
+    const std::vector<RuleIndex>& members, bool termination_guaranteed,
+    int max_violations) {
+  const PrelimAnalysis& prelim = commutativity.prelim();
+  ConfluenceAnalyzer fixpoint(commutativity, priority);
+  std::vector<bool> member_mask(prelim.num_rules(), false);
+  for (RuleIndex r : members) member_mask[r] = true;
+  ConfluenceReport report;
+  report.termination_guaranteed = termination_guaranteed;
+  report.requirement_holds = true;
+  auto violations_full = [&]() {
+    return max_violations >= 0 &&
+           static_cast<int>(report.violations.size()) >= max_violations;
+  };
+  for (size_t a = 0; a < members.size(); ++a) {
+    for (size_t b = a + 1; b < members.size(); ++b) {
+      RuleIndex ri = members[a];
+      RuleIndex rj = members[b];
+      if (!priority.Unordered(ri, rj)) continue;
+      ++report.unordered_pairs_checked;
+      auto [r1_set, r2_set] = fixpoint.BuildSetsWithin(ri, rj, member_mask);
+      report.max_set_size =
+          std::max({report.max_set_size, r1_set.size(), r2_set.size()});
+      for (RuleIndex r1 : r1_set) {
+        for (RuleIndex r2 : r2_set) {
+          if (ReferenceCommute(prelim, certs, r1, r2)) continue;
+          report.requirement_holds = false;
+          if (violations_full()) continue;
+          report.violations.push_back(
+              {ri, rj, r1, r2, r1_set, r2_set,
+               CommutativityAnalyzer::ExplainPair(prelim, r1, r2)});
+        }
+      }
+      if (!report.requirement_holds && violations_full()) return report;
+    }
+  }
+  report.confluent = report.requirement_holds && termination_guaranteed;
+  return report;
+}
+
+/// The incremental analyzer against a from-scratch reference analysis
+/// (reference_scan.h) at one violation cap: termination and confluence
+/// reports field for field, and every pair's commutativity verdict.
+/// Returns an empty string on agreement, else the mismatch.
+std::string CompareFullVsIncremental(
+    const Schema& schema, const std::vector<RuleDef>& current,
+    const CommutativityCertifications& certs, IncrementalAnalyzer* inc,
+    int max_violations) {
   Status full_status = Status::OK();
   auto prelim = PrelimAnalysis::Compute(schema, current);
   if (!prelim.ok()) full_status = prelim.status();
@@ -397,13 +483,16 @@ std::string CompareFullVsIncremental(const Schema& schema,
     return "";
   }
 
-  CommutativityAnalyzer commutativity(prelim.value(), schema);
+  int n = prelim.value().num_rules();
+  std::vector<RuleIndex> all(n);
+  for (RuleIndex r = 0; r < n; ++r) all[r] = r;
   TerminationReport term = TerminationAnalyzer::Analyze(prelim.value());
-  ConfluenceAnalyzer confluence(commutativity, *priority);
-  ConfluenceReport conf = confluence.Analyze(term.guaranteed, max_violations);
+  CommutativityAnalyzer commutativity(prelim.value(), schema, certs);
+  ConfluenceReport conf =
+      ReferenceConfluenceScan(commutativity, *priority, certs, all,
+                              term.guaranteed, max_violations);
 
   const TerminationReport& iterm = run.value().termination;
-  const ConfluenceReport& iconf = run.value().confluence;
   std::string where = " (max_violations=" + std::to_string(max_violations) +
                       ")";
   if (term.guaranteed != iterm.guaranteed ||
@@ -420,44 +509,14 @@ std::string CompareFullVsIncremental(const Schema& schema,
       return "cycle report " + std::to_string(k) + " differs" + where;
     }
   }
-  if (conf.requirement_holds != iconf.requirement_holds ||
-      conf.confluent != iconf.confluent) {
-    return "confluence verdict differs" + where;
-  }
-  if (conf.unordered_pairs_checked != iconf.unordered_pairs_checked) {
-    return "unordered_pairs_checked differs: full=" +
-           std::to_string(conf.unordered_pairs_checked) + " incremental=" +
-           std::to_string(iconf.unordered_pairs_checked) + where;
-  }
-  if (conf.max_set_size != iconf.max_set_size) {
-    return "max_set_size differs" + where;
-  }
-  if (conf.violations.size() != iconf.violations.size()) {
-    return "violation counts differ: full=" +
-           std::to_string(conf.violations.size()) + " incremental=" +
-           std::to_string(iconf.violations.size()) + where;
-  }
-  for (size_t k = 0; k < conf.violations.size(); ++k) {
-    const ConfluenceViolation& a = conf.violations[k];
-    const ConfluenceViolation& b = iconf.violations[k];
-    bool causes_equal = a.causes.size() == b.causes.size();
-    for (size_t c = 0; causes_equal && c < a.causes.size(); ++c) {
-      causes_equal = a.causes[c].condition == b.causes[c].condition &&
-                     a.causes[c].actor == b.causes[c].actor &&
-                     a.causes[c].affected == b.causes[c].affected;
-    }
-    if (a.pair_i != b.pair_i || a.pair_j != b.pair_j || a.r1 != b.r1 ||
-        a.r2 != b.r2 || a.set_r1 != b.set_r1 || a.set_r2 != b.set_r2 ||
-        !causes_equal) {
-      return "violation " + std::to_string(k) + " differs" + where;
-    }
-  }
-  // Pair matrix: valid only after a successful Analyze (dirty pairs were
+  std::string diff = DiffConfluenceReports(conf, run.value().confluence);
+  if (!diff.empty()) return diff + where;
+  // Pair verdicts: valid only after a successful Analyze (dirty pairs were
   // just swept).
-  int n = prelim.value().num_rules();
   for (RuleIndex i = 0; i < n; ++i) {
     for (RuleIndex j = i + 1; j < n; ++j) {
-      if (commutativity.Commute(i, j) != inc->PairCommutes(i, j)) {
+      if (ReferenceCommute(prelim.value(), certs, i, j) !=
+          inc->PairCommutes(i, j)) {
         return "pair ('" + prelim.value().rule(i).name + "', '" +
                prelim.value().rule(j).name + "') commutativity differs" +
                where;
@@ -467,16 +526,111 @@ std::string CompareFullVsIncremental(const Schema& schema,
   return "";
 }
 
+/// ConfluenceAnalyzer::AnalyzeSubset against the reference scan at caps
+/// {-1, 0, 2}, on Sig(Obs) of the extended prelim (as observable
+/// determinism runs it) and on a seeded random subset. Rejected rule sets
+/// are the incremental leg's concern.
+std::string CompareSubsetScans(const Schema& schema,
+                               const std::vector<RuleDef>& current,
+                               const CommutativityCertifications& certs,
+                               SplitMix64* rng) {
+  auto prelim = PrelimAnalysis::Compute(schema, current);
+  if (!prelim.ok()) return "";
+  auto priority = PriorityOrder::Build(prelim.value(), current);
+  if (!priority.ok()) return "";
+  TableId obs = schema.num_tables();
+  PrelimAnalysis extended = prelim.value().ExtendWithObservableTable(obs);
+  CommutativityAnalyzer with_obs(extended, schema, certs);
+  CommutativityAnalyzer plain(prelim.value(), schema, certs);
+  std::vector<RuleIndex> subset;
+  for (RuleIndex r = 0; r < prelim.value().num_rules(); ++r) {
+    if (rng->Below(2) == 0) subset.push_back(r);
+  }
+  std::pair<const CommutativityAnalyzer*, std::vector<RuleIndex>> legs[] = {
+      {&with_obs, PartialConfluenceAnalyzer(with_obs, priority.value())
+                      .SignificantRules({obs})},
+      {&plain, subset}};
+  for (const auto& [commutativity, members] : legs) {
+    ConfluenceAnalyzer production(*commutativity, priority.value());
+    for (int cap : {-1, 0, 2}) {
+      std::string diff = DiffConfluenceReports(
+          ReferenceConfluenceScan(*commutativity, priority.value(), certs,
+                                  members, true, cap),
+          production.AnalyzeSubset(members, true, cap));
+      if (!diff.empty()) {
+        return (commutativity == &plain ? "random subset: " : "Sig(Obs): ") +
+               diff + " (max_violations=" + std::to_string(cap) + ")";
+      }
+    }
+  }
+  return "";
+}
+
+/// In-place certification against a fresh build: an Analyzer that has
+/// already analyzed, then certifies seeded pairs one at a time and finally
+/// runs ApplyAutoRefinement, must report byte for byte what an Analyzer
+/// given the same certifications before its first analysis reports.
+std::string CompareCertifyInPlace(const Schema& schema,
+                                  const std::vector<RuleDef>& current,
+                                  SplitMix64* rng) {
+  auto warm = Analyzer::Create(&schema, CloneRules(current));
+  if (!warm.ok() || warm.value().catalog().num_rules() == 0) return "";
+  const RuleCatalog& catalog = warm.value().catalog();
+  auto name = [&](RuleIndex r) { return catalog.rule(r).name; };
+  std::vector<ConfluenceViolation> violations =
+      warm.value().AnalyzeAll().confluence.violations;
+  std::vector<std::pair<std::string, std::string>> pairs;
+  if (!violations.empty()) {
+    const ConfluenceViolation& v =
+        violations[rng->Below(static_cast<int>(violations.size()))];
+    pairs.emplace_back(name(v.r1), name(v.r2));
+  }
+  pairs.emplace_back(name(rng->Below(catalog.num_rules())),
+                     name(rng->Below(catalog.num_rules())));
+  // Step k < |pairs| certifies pairs[k]; the last step auto-refines.
+  for (size_t k = 0; k <= pairs.size(); ++k) {
+    Analyzer fresh =
+        Analyzer::Create(&schema, CloneRules(current)).value();
+    for (size_t c = 0; c <= k && c < pairs.size(); ++c) {
+      fresh.CertifyCommute(pairs[c].first, pairs[c].second);
+    }
+    if (k < pairs.size()) {
+      warm.value().CertifyCommute(pairs[k].first, pairs[k].second);
+    } else if (warm.value().ApplyAutoRefinement() !=
+               fresh.ApplyAutoRefinement()) {
+      return "auto-refinement counts differ";
+    }
+    for (int cap : {-1, 2}) {
+      if (FullReportToJson(warm.value().AnalyzeAll(cap), catalog) !=
+          FullReportToJson(fresh.AnalyzeAll(cap), fresh.catalog())) {
+        return "report after in-place certification step " +
+               std::to_string(k) + " differs from a fresh build" +
+               " (max_violations=" + std::to_string(cap) + ")";
+      }
+    }
+  }
+  return "";
+}
+
 /// Full-vs-incremental equivalence across a seeded edit sequence: register
-/// every rule one at a time, then apply removes / re-adds / redefinitions
-/// drawn from data_seed, comparing the incremental analyzer against a
-/// from-scratch analysis after every edit (at an unlimited and a truncated
-/// violation cap, pinning the truncation semantics too).
+/// every rule one at a time (with one seeded commutativity certification),
+/// then apply removes / re-adds / redefinitions drawn from data_seed. After
+/// every edit the incremental analyzer is compared against the reference
+/// scan (at an unlimited and a truncated violation cap, pinning the
+/// truncation semantics too), AnalyzeSubset against the reference on its
+/// member sets, and in-place certification against a fresh build.
 OracleOutcome IncrementalEquivalence(const GeneratedRuleSet& set,
                                      uint64_t data_seed) {
   if (set.rules.empty()) return Skip("no rules");
   const Schema& schema = *set.schema;
-  IncrementalAnalyzer inc(set.schema.get());
+  // The legs draw from their own stream so the edit sequence below depends
+  // on data_seed alone.
+  SplitMix64 leg_rng(data_seed ^ 0x5eb5e7ce27ULL);
+  CommutativityCertifications certs;
+  int num_rules = static_cast<int>(set.rules.size());
+  certs.Certify(set.rules[leg_rng.Below(num_rules)].name,
+                set.rules[leg_rng.Below(num_rules)].name);
+  IncrementalAnalyzer inc(set.schema.get(), certs);
   std::vector<RuleDef> current;  // mirrors inc's registration order
   for (const RuleDef& rule : set.rules) {
     Status st = inc.AddRule(rule.Clone());
@@ -493,18 +647,20 @@ OracleOutcome IncrementalEquivalence(const GeneratedRuleSet& set,
 
   SplitMix64 rng(data_seed ^ 0x19c53a11edULL);
   std::vector<RuleDef> removed_pool;
-  auto compare_both = [&]() -> std::string {
+  auto compare_all = [&]() -> std::string {
     for (int cap : {-1, 2}) {
       std::string mismatch =
-          CompareFullVsIncremental(schema, current, &inc, cap);
+          CompareFullVsIncremental(schema, current, certs, &inc, cap);
       if (!mismatch.empty()) return mismatch;
     }
     if (inc.num_rules() != static_cast<int>(current.size())) {
       return "rule counts diverged";
     }
-    return "";
+    std::string mismatch = CompareSubsetScans(schema, current, certs, &leg_rng);
+    if (!mismatch.empty()) return mismatch;
+    return CompareCertifyInPlace(schema, current, &leg_rng);
   };
-  std::string mismatch = compare_both();
+  std::string mismatch = compare_all();
   if (!mismatch.empty()) return Fail("after initial build: " + mismatch);
 
   constexpr int kEdits = 4;
@@ -548,7 +704,7 @@ OracleOutcome IncrementalEquivalence(const GeneratedRuleSet& set,
     } else {
       continue;
     }
-    mismatch = compare_both();
+    mismatch = compare_all();
     if (!mismatch.empty()) return Fail("after " + step + ": " + mismatch);
   }
   return Pass();
@@ -648,10 +804,7 @@ OracleOutcome WitnessReplay(const GeneratedRuleSet& set, uint64_t data_seed,
 Result<OracleCase> PrepareOracleCase(const GeneratedRuleSet& set,
                                      uint64_t data_seed,
                                      const OracleOptions& options) {
-  std::vector<RuleDef> rules;
-  rules.reserve(set.rules.size());
-  for (const RuleDef& r : set.rules) rules.push_back(r.Clone());
-  auto catalog = RuleCatalog::Build(set.schema.get(), std::move(rules));
+  auto catalog = RuleCatalog::Build(set.schema.get(), CloneRules(set.rules));
   if (!catalog.ok()) return catalog.status();
 
   Database db(set.schema.get());

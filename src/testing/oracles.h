@@ -55,13 +55,17 @@ namespace fuzzing {
 ///                               may-not-terminate verdicts, classic and
 ///                               at every work-stealing worker count (the
 ///                               Lemma 6.1 ample-set soundness contract).
-///   kIncrementalEquivalence     the §9 incremental analyzer and a
-///                               from-scratch analysis agree exactly —
-///                               termination/confluence reports (at
+///   kIncrementalEquivalence     the §9 incremental analyzer and the
+///                               from-scratch reference scan
+///                               (testing/reference_scan.h) agree exactly
+///                               — termination/confluence reports (at
 ///                               unlimited and truncated violation caps)
-///                               and the full pairwise commutativity
-///                               matrix — across a seeded sequence of
-///                               add/remove/redefine edits.
+///                               and every pair's commutativity verdict —
+///                               across a seeded sequence of
+///                               add/remove/redefine edits; AnalyzeSubset
+///                               matches the reference on Sig(Obs) and on
+///                               a random subset, and in-place
+///                               certification matches a fresh Analyzer.
 ///   kWitnessReplay              divergence provenance (analysis/witness.h)
 ///                               is complete and honest: every divergent
 ///                               exploration (>= 2 final states or

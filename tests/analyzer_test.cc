@@ -128,24 +128,23 @@ TEST_F(AnalyzerTest, MoveKeepsAnalyzerUsable) {
   EXPECT_TRUE(b.commutativity().Commute(0, 0));
 }
 
-// Regression (move semantics): the lazily-built commutativity cache holds
-// references into the catalog, which relocates on move. A moved-to analyzer
-// must (a) keep interactive certifications, (b) rebuild the cache against
-// its own catalog — touching the old cache after the move would be a
-// use-after-move / dangling-reference bug that ASan flags.
+// Regression (move semantics): the lazily-built commutativity cache points
+// into the catalog. A moved-to analyzer must (a) keep interactive
+// certifications, (b) answer from a cache that points at its own catalog —
+// a cache left pointing into a relocated catalog would be a
+// dangling-reference bug that ASan flags.
 TEST_F(AnalyzerTest, MovePreservesCertificationsAndRebuildsCache) {
   Analyzer a = Create(
       "create rule r0 on t when inserted then update s set a = 1; "
       "create rule r1 on t when inserted then update s set a = 2;");
   EXPECT_FALSE(a.AnalyzeConfluence().confluent);
   a.CertifyCommute("r0", "r1");
-  // Populate the cache so the move has something to drop.
+  // Populate the cache before the move.
   EXPECT_TRUE(a.commutativity().Commute(0, 1));
 
   Analyzer moved = std::move(a);
   EXPECT_EQ(moved.commutativity_certifications().size(), 1u);
-  // The cache is rebuilt lazily against the relocated catalog; the
-  // certification still applies.
+  // The certification still applies after the move.
   EXPECT_TRUE(moved.commutativity().Commute(0, 1));
   EXPECT_TRUE(moved.AnalyzeConfluence().confluent);
 

@@ -5,7 +5,8 @@
 //  - the fuzz_driver flag table in docs/fuzzing.md and the --help text
 //    both match FuzzDriverFlags(), the single source of truth,
 //  - likewise the ruled flag table in docs/service.md against
-//    RuledFlags(),
+//    RuledFlags(), and its resource-bounds table against the constants
+//    in src/,
 //  - the README tool table against the add_executable() names in
 //    tools/CMakeLists.txt,
 //  - the worked /stats example in docs/observability.md is valid JSON
@@ -255,6 +256,36 @@ TEST(DocsTest, ServiceDocCoversEveryErrorCode) {
     EXPECT_NE(doc.find(endpoint), std::string::npos)
         << "docs/service.md does not mention endpoint " << endpoint;
   }
+}
+
+// Every row of docs/service.md's resource-bounds table names a constant
+// and its initializer; `name = value` must appear in some file of src/.
+TEST(DocsTest, ServiceDocBoundsTableMatchesSource) {
+  std::string sources;
+  for (const auto& entry :
+       fs::recursive_directory_iterator(fs::path(STARBURST_REPO_DIR) / "src")) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    sources += buffer.str();
+  }
+  std::string doc = ReadDoc("docs/service.md");
+  size_t begin = doc.find("### Resource bounds");
+  ASSERT_NE(begin, std::string::npos);
+  std::istringstream in(doc.substr(begin, doc.find("\n## ", begin) - begin));
+  std::regex row(R"(^\| `([A-Za-z_]+)` \| `([^`]+)` \|)");
+  int rows = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::smatch match;
+    if (!std::regex_search(line, match, row)) continue;
+    ++rows;
+    std::string definition = match[1].str() + " = " + match[2].str();
+    EXPECT_NE(sources.find(definition), std::string::npos)
+        << "docs/service.md bounds table: no '" << definition << "' in src/";
+  }
+  EXPECT_GE(rows, 8) << "bounds table rows not found";
 }
 
 TEST(DocsTest, ReadmeToolTableMatchesToolsCMake) {

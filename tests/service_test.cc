@@ -18,6 +18,7 @@
 #include "rules/processor.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "engine/fingerprint.h"
 #include "service/admin.h"
 #include "service/router.h"
 #include "service/tenant.h"
@@ -251,6 +252,138 @@ TEST(ServiceRouterTest, DeeplyNestedBodyIsRefusedWithoutSideEffects) {
       router.Handle(MakeRequest("POST", "/v1/tenants/chain/transition",
                                 "insert into t0 values (1, 2)"));
   EXPECT_EQ(ok.status, 200) << ok.body;
+}
+
+// What a refused request must leave alone: the tenant's database content,
+// its rule list, and the bytes of its next analyze (which reflect its
+// certifications).
+struct TenantSnapshot {
+  Hash128 fingerprint;
+  std::vector<std::string> rules;
+  std::string analyze;
+};
+
+TenantSnapshot Snapshot(ServiceRouter& router, TenantRegistry& registry,
+                        const std::string& name) {
+  std::shared_ptr<Tenant> tenant = registry.Find(name);
+  EXPECT_NE(tenant, nullptr);
+  TenantSnapshot snapshot;
+  snapshot.fingerprint = tenant->db().ContentFingerprint();
+  for (RuleIndex r = 0; r < tenant->catalog().num_rules(); ++r) {
+    snapshot.rules.push_back(tenant->catalog().rule(r).name);
+  }
+  snapshot.analyze =
+      router.Handle(MakeRequest("POST", "/v1/tenants/" + name + "/analyze"))
+          .body;
+  return snapshot;
+}
+
+void ExpectUnchanged(const TenantSnapshot& before,
+                     const TenantSnapshot& after, const std::string& what) {
+  EXPECT_TRUE(after.fingerprint == before.fingerprint) << what;
+  EXPECT_EQ(after.rules, before.rules) << what;
+  EXPECT_EQ(after.analyze, before.analyze) << what;
+}
+
+// Client-supplied budgets are capped by the router's server maxima: the
+// cap itself is served, one more is refused with 400 before any work.
+TEST(ServiceRouterTest, ParameterCapsAcceptTheCapAndRefuseOneMore) {
+  TenantRegistry registry;
+  ServiceRouter router(&registry);
+  ASSERT_EQ(router
+                .Handle(MakeRequest("POST", "/v1/tenants/chain",
+                                    ReadCorpus("acyclic_chain.rules")))
+                .status,
+            201);
+  const std::string insert = "insert into t0 values (1, 2)";
+  const TenantSnapshot before = Snapshot(router, registry, "chain");
+  for (const char* target :
+       {"/v1/tenants/chain/transition?max_steps=100001",
+        "/v1/tenants/chain/witness?max_steps=1000001",
+        "/v1/tenants/chain/witness?max_depth=257"}) {
+    HttpResponse over = router.Handle(MakeRequest("POST", target, insert));
+    EXPECT_EQ(over.status, 400) << target << ": " << over.body;
+    EXPECT_NE(over.body.find("value too large"), std::string::npos)
+        << over.body;
+    ExpectUnchanged(before, Snapshot(router, registry, "chain"), target);
+  }
+  for (const char* target :
+       {"/v1/tenants/chain/transition?commit=0&max_steps=100000",
+        "/v1/tenants/chain/witness?max_steps=1000000&max_depth=256"}) {
+    HttpResponse at_cap = router.Handle(MakeRequest("POST", target, insert));
+    EXPECT_EQ(at_cap.status, 200) << target << ": " << at_cap.body;
+  }
+}
+
+// The router's error-path property: every error a tenant endpoint can
+// return leaves the tenant exactly as it was. The tenant carries state
+// first (a committed row and a certification), so "unchanged" also covers
+// the in-place certification path.
+TEST(ServiceRouterTest, EveryErrorLeavesTheTenantUntouched) {
+  TenantRegistry registry;
+  ServiceRouter router(&registry);
+  // `spin` never quiesces on its own, so a transition touching t exceeds
+  // any max_steps.
+  const std::string script =
+      "create table t (a int); create table u (a int); "
+      "create rule spin on t when inserted, updated(a) "
+      "then update t set a = a + 1; "
+      "create rule w1 on u when inserted then update t set a = 1; "
+      "create rule w2 on u when inserted then update t set a = 2;";
+  ASSERT_EQ(
+      router.Handle(MakeRequest("POST", "/v1/tenants/t", script)).status,
+      201);
+  ASSERT_EQ(router
+                .Handle(MakeRequest("POST", "/v1/tenants/t/transition",
+                                    "insert into u values (7)"))
+                .status,
+            200);
+  ASSERT_EQ(router
+                .Handle(MakeRequest(
+                    "POST", "/v1/tenants/t/certify?kind=commute&a=w1&b=w2"))
+                .status,
+            200);
+  const TenantSnapshot before = Snapshot(router, registry, "t");
+  const std::string deep = "select * from t where " + std::string(100000, '(');
+  struct Case {
+    std::string method, target, body;
+    int status;
+  };
+  const std::vector<Case> cases = {
+      {"POST", "/v1/tenants/t/transition", "selec * frm t", 400},
+      {"POST", "/v1/tenants/t/transition", "insert into t values (1, 2)", 422},
+      {"POST", "/v1/tenants/t/transition?max_steps=50",
+       "insert into t values (0)", 422},
+      {"POST", "/v1/tenants/t/transition", deep, 422},
+      {"POST", "/v1/tenants/t/transition?max_steps=100001",
+       "insert into t values (0)", 400},
+      {"POST", "/v1/tenants/t/transition?commit=x", "insert into u values (1)",
+       400},
+      {"POST", "/v1/tenants/t/transition", "", 400},
+      {"GET", "/v1/tenants/t/transition", "", 405},
+      {"POST", "/v1/tenants/t/witness", "selec * frm t", 400},
+      {"POST", "/v1/tenants/t/witness", deep, 422},
+      {"POST", "/v1/tenants/t/witness?max_depth=257",
+       "insert into u values (1)", 400},
+      {"POST", "/v1/tenants/t/witness?max_steps=1000001",
+       "insert into u values (1)", 400},
+      {"POST", "/v1/tenants/t/analyze?max_violations=-1", "", 400},
+      {"POST", "/v1/tenants/t/certify", "", 400},
+      {"POST", "/v1/tenants/t/certify?kind=bogus", "", 400},
+      {"POST", "/v1/tenants/t/certify?kind=commute&a=w1", "", 400},
+      {"POST", "/v1/tenants/t/certify?kind=commute&a=nope&b=w1", "", 404},
+      {"POST", "/v1/tenants/t/certify?kind=commute&a=w1&b=nope", "", 404},
+      {"POST", "/v1/tenants/t/certify?kind=quiescent&rule=nope", "", 404},
+      {"POST", "/v1/tenants/t/nonsense", "", 404},
+  };
+  for (const Case& c : cases) {
+    std::string what = c.method + " " + c.target;
+    HttpResponse response =
+        router.Handle(MakeRequest(c.method, c.target, c.body));
+    EXPECT_EQ(response.status, c.status)
+        << what << ": " << response.body.substr(0, 200);
+    ExpectUnchanged(before, Snapshot(router, registry, "t"), what);
+  }
 }
 
 // The determinism contract, batch side: the analyze endpoint's bytes are
