@@ -22,7 +22,10 @@ namespace starburst {
 /// alternative to copying: mutations between BeginDelta and RevertDelta are
 /// undone exactly, including per-table rid counters, so the undo-log
 /// explorer backend and the rule processor backtrack without ever cloning
-/// the database. Deltas nest (cascaded rule firings open one level each).
+/// the database. The service's transition endpoint runs every request in
+/// the processor's delta on the tenant database, so a dry run or an error
+/// costs O(rows touched). Deltas nest (cascaded rule firings open one level
+/// each).
 class Database {
  public:
   explicit Database(const Schema* schema);

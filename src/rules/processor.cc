@@ -200,9 +200,7 @@ Result<ExecOutcome> RuleProcessor::ExecuteUserStatement(const Stmt& stmt) {
   STARBURST_ASSIGN_OR_RETURN(ExecOutcome outcome,
                              executor.Execute(stmt, nullptr, nullptr));
   if (outcome.rollback) {
-    db_->RevertDelta();
-    for (Transition& t : pending_) t.Clear();
-    in_transaction_ = false;
+    Abort();
     return outcome;
   }
   for (Transition& pending : pending_) {
@@ -293,11 +291,8 @@ Result<ProcessingResult> RuleProcessor::AssertRules() {
     if (!step.ok()) {
       // A failed rule action may have applied part of its statements;
       // abort the transaction so no partial effects survive.
-      state.db.RevertDelta();
-      *db_ = std::move(state.db);
-      for (Transition& t : state.pending) t.Clear();
-      pending_ = std::move(state.pending);
-      in_transaction_ = false;
+      restore();
+      Abort();
       flush_metrics();
       return step.status();
     }
@@ -319,11 +314,8 @@ Result<ProcessingResult> RuleProcessor::AssertRules() {
     }
     if (step.value().rollback) {
       // Restore to transaction start and abort.
-      state.db.RevertDelta();
-      *db_ = std::move(state.db);
-      for (Transition& t : state.pending) t.Clear();
-      pending_ = std::move(state.pending);
-      in_transaction_ = false;
+      restore();
+      Abort();
       result.rolled_back = true;
       result.terminated = true;
       STARBURST_METRIC_COUNT("processor.rollbacks", 1);
@@ -341,6 +333,13 @@ Result<ProcessingResult> RuleProcessor::AssertRules() {
 
 void RuleProcessor::Commit() {
   if (in_transaction_) db_->CommitDelta();
+  for (Transition& t : pending_) t.Clear();
+  in_transaction_ = false;
+}
+
+void RuleProcessor::Abort() {
+  if (!in_transaction_) return;
+  db_->RevertDelta();
   for (Transition& t : pending_) t.Clear();
   in_transaction_ = false;
 }

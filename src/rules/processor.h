@@ -126,8 +126,8 @@ struct ProcessingResult {
 ///
 /// Usage: Begin() (implicit on first statement), any number of
 /// ExecuteUserStatement(), then AssertRules() at each assertion point;
-/// Commit() ends the transaction. ROLLBACK (from a rule or the user)
-/// restores the database to its state at Begin().
+/// Commit() ends the transaction, Abort() discards it. ROLLBACK (from a
+/// rule or the user) restores the database to its state at Begin().
 class RuleProcessor {
  public:
   RuleProcessor(Database* db, const RuleCatalog* catalog,
@@ -152,11 +152,17 @@ class RuleProcessor {
   /// is restored to its state at Begin(), so no partial rule effects
   /// survive — and the error is returned. Exceeding max_steps returns
   /// LimitExceeded with the transaction left open so the caller can
-  /// inspect the runaway state.
+  /// inspect the runaway state (then Abort() it).
   Result<ProcessingResult> AssertRules();
 
   /// Ends the transaction, keeping its effects.
   void Commit();
+
+  /// Ends the transaction, discarding its effects: reverts the open delta
+  /// (O(rows touched); rid counters included) and clears every pending
+  /// transition. No-op outside a transaction, so it is safe after a user
+  /// or rule ROLLBACK or a failed rule action, which have already reverted.
+  void Abort();
 
   bool in_transaction() const { return in_transaction_; }
 

@@ -37,6 +37,30 @@ std::string InsertStatement(const TenantShape& shape, SplitMix64* rng) {
   return stmt;
 }
 
+/// Commits `rows` rows into `tenant`'s ballast table, one multi-row insert
+/// of at most kRowsPerRequest rows per transition.
+Status PreloadBallast(HttpClientConnection* setup, const std::string& tenant,
+                      int rows) {
+  constexpr int kRowsPerRequest = 1000;
+  for (int row = 0; row < rows;) {
+    std::string body = "insert into ballast values ";
+    for (int k = 0; k < kRowsPerRequest && row < rows; ++k, ++row) {
+      if (k > 0) body += ", ";
+      body += "(" + std::to_string(row) + ", " + std::to_string(row) + ")";
+    }
+    STARBURST_ASSIGN_OR_RETURN(
+        HttpResponse response,
+        setup->RoundTrip("POST", "/v1/tenants/" + tenant + "/transition",
+                         body));
+    if (response.status != 200) {
+      return Status::ExecutionError("preloading " + tenant + " failed: HTTP " +
+                                    std::to_string(response.status) + " " +
+                                    response.body);
+    }
+  }
+  return Status::OK();
+}
+
 struct ThreadStats {
   int64_t requests = 0;
   int64_t http_errors = 0;
@@ -63,6 +87,7 @@ Result<LoadGenReport> RunLoadGen(const LoadGenOptions& options) {
   if (options.users < 1 || options.connections < 1) {
     return Status::InvalidArgument("need at least one user and connection");
   }
+  if (options.rows < 0) return Status::InvalidArgument("rows must be >= 0");
   if (options.duration_seconds <= 0) {
     return Status::InvalidArgument("duration must be positive");
   }
@@ -109,6 +134,9 @@ Result<LoadGenReport> RunLoadGen(const LoadGenOptions& options) {
       shape.table_names.push_back(table.name());
       shape.table_columns.push_back(table.num_columns());
     }
+    if (options.rows > 0) {
+      script += "\ncreate table ballast (a int, b int);\n";
+    }
     STARBURST_ASSIGN_OR_RETURN(
         HttpResponse response,
         setup.RoundTrip("POST", "/v1/tenants/" + shape.name, script));
@@ -119,6 +147,10 @@ Result<LoadGenReport> RunLoadGen(const LoadGenOptions& options) {
                                     " failed: HTTP " +
                                     std::to_string(response.status) + " " +
                                     response.body);
+    }
+    if (response.status == 201) {
+      STARBURST_RETURN_IF_ERROR(
+          PreloadBallast(&setup, shape.name, options.rows));
     }
     shapes.push_back(std::move(shape));
   }
@@ -225,6 +257,7 @@ Result<LoadGenReport> RunLoadGen(const LoadGenOptions& options) {
   report.users = options.users;
   report.connections = options.connections;
   report.tenants = static_cast<int>(shapes.size());
+  report.rows = options.rows;
   report.seconds = seconds;
   std::vector<uint32_t> all;
   for (const ThreadStats& s : stats) {
@@ -248,6 +281,7 @@ std::string LoadGenReportToJson(const LoadGenReport& report) {
   json += "\"users\":" + std::to_string(report.users);
   json += ",\"connections\":" + std::to_string(report.connections);
   json += ",\"tenants\":" + std::to_string(report.tenants);
+  json += ",\"rows\":" + std::to_string(report.rows);
   json += ",\"seconds\":" + FormatDouble(report.seconds);
   json += ",\"requests\":" + std::to_string(report.requests);
   json += ",\"http_errors\":" + std::to_string(report.http_errors);

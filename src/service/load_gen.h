@@ -32,6 +32,12 @@ struct LoadGenOptions {
   /// drive whatever tenants the server already has... which must then be
   /// non-empty.
   int tenants = 4;
+  /// Rows committed into each freshly loaded synthetic tenant before the
+  /// traffic starts, into a `ballast (a int, b int)` table that no rule
+  /// reads or writes: the tenant database grows, the rule work does not.
+  /// 0 (the default) adds no table. A tenant reused from an earlier run
+  /// (409) keeps whatever rows it already holds.
+  int rows = 0;
   /// Request mix (remaining probability mass goes to transitions).
   double analyze_fraction = 0.05;
   double stats_fraction = 0.02;
@@ -44,6 +50,7 @@ struct LoadGenReport {
   int users = 0;
   int connections = 0;
   int tenants = 0;
+  int rows = 0;
   double seconds = 0;
   int64_t requests = 0;
   /// HTTP responses with status >= 400.
@@ -64,7 +71,7 @@ struct LoadGenReport {
 Result<LoadGenReport> RunLoadGen(const LoadGenOptions& options);
 
 /// Renders the report as the BENCH_service.json entry shape:
-///   {"users":...,"connections":...,"tenants":...,"seconds":...,
+///   {"users":...,"connections":...,"tenants":...,"rows":...,"seconds":...,
 ///    "requests":...,"http_errors":...,"transport_errors":...,
 ///    "requests_per_second":...,"p50_ms":...,"p90_ms":...,"p99_ms":...,
 ///    "max_ms":...}

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -335,13 +336,15 @@ HttpResponse ServiceRouter::HandleTenantVerb(const HttpRequest& request,
         IntParam(request, "max_steps", 10000, kMaxTransitionSteps);
     if (!max_steps.ok()) return ErrorResponse(max_steps.status());
 
-    // Statements run against a copy so a mid-transaction error (which
-    // leaves the processor's transaction open with partial effects) can
-    // never corrupt the tenant's committed database.
-    Database work = tenant->db();
+    // Statements run in the processor's undo-log delta on the tenant
+    // database, O(rows touched). The guard is the one non-commit exit:
+    // every path but a commit (a dry run, any error, LimitExceeded's open
+    // transaction) reverts the delta, after the response is built.
     ProcessorOptions options;
     options.max_steps = static_cast<int>(max_steps.value());
-    RuleProcessor processor(&work, &tenant->catalog(), options);
+    RuleProcessor processor(&tenant->db(), &tenant->catalog(), options);
+    std::unique_ptr<RuleProcessor, void (*)(RuleProcessor*)> abort_on_exit(
+        &processor, [](RuleProcessor* p) { p->Abort(); });
     for (const std::string& statement : statements) {
       Result<ExecOutcome> outcome = processor.ExecuteUserStatement(statement);
       if (!outcome.ok()) return ErrorResponse(outcome.status());
@@ -349,9 +352,8 @@ HttpResponse ServiceRouter::HandleTenantVerb(const HttpRequest& request,
     Result<ProcessingResult> asserted = processor.AssertRules();
     if (!asserted.ok()) return ErrorResponse(asserted.status());
     const ProcessingResult& result = asserted.value();
-    processor.Commit();
-
     const bool committed = commit.value() != 0;
+    if (committed) processor.Commit();
     std::string body = "{\"terminated\":";
     body += result.terminated ? "true" : "false";
     body += ",\"rolled_back\":";
@@ -365,12 +367,11 @@ HttpResponse ServiceRouter::HandleTenantVerb(const HttpRequest& request,
               "\"";
     }
     body += "],\"observables\":" + std::to_string(result.observables.size());
-    body += ",\"fingerprint\":\"" + HexFingerprint(work.ContentFingerprint()) +
-            "\"";
+    body += ",\"fingerprint\":\"" +
+            HexFingerprint(tenant->db().ContentFingerprint()) + "\"";
     body += ",\"committed\":";
     body += committed ? "true" : "false";
     body += "}";
-    if (committed) tenant->db() = std::move(work);
     return JsonResponse(200, body);
   }
 

@@ -1,3 +1,6 @@
+#include <map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "rulelang/parser.h"
@@ -41,6 +44,25 @@ class ProcessorTest : public ::testing::Test {
   int64_t Count(const std::string& table) {
     TableId t = schema_.FindTable(table);
     return static_cast<int64_t>(db_->storage(t).size());
+  }
+
+  /// Every table's rows keyed by rid: what an abort must restore exactly.
+  std::vector<std::map<Rid, Tuple>> RowsWithRids() {
+    std::vector<std::map<Rid, Tuple>> out;
+    for (TableId t = 0; t < schema_.num_tables(); ++t) {
+      out.push_back(db_->storage(t).rows());
+    }
+    return out;
+  }
+
+  /// The rid under which `table` stores the one-column row (x); -1 if
+  /// absent.
+  int64_t RidOf(const std::string& table, int64_t x) {
+    for (const auto& [rid, tuple] : db_->storage(schema_.FindTable(table))
+                                        .rows()) {
+      if (tuple[0] == Value::Int(x)) return static_cast<int64_t>(rid);
+    }
+    return -1;
   }
 
   Schema schema_;
@@ -374,6 +396,89 @@ TEST_F(ProcessorTest, ChoiceStrategyPicksAmongEligible) {
   ProcessingResult r = Assert();
   ASSERT_EQ(r.considered.size(), 2u);
   EXPECT_EQ(catalog_->prelim().rule(r.considered[0]).name, "w2");
+}
+
+TEST_F(ProcessorTest, AbortRevertsPartialEffectsRowsAndRids) {
+  Load("create table a (x int); create table log (x int);",
+       "create rule note on a when inserted "
+       "then insert into log select x from inserted;");
+  Exec("insert into a values (1), (2)");
+  Assert();
+  processor_->Commit();
+  const Hash128 committed_fp = db_->ContentFingerprint();
+  const std::vector<std::map<Rid, Tuple>> committed_rows = RowsWithRids();
+
+  // Three statements and a cascade apply, then a fourth statement fails:
+  // the transaction is open with partial effects.
+  Exec("insert into a values (3)");
+  const int64_t rid3 = RidOf("a", 3);
+  ASSERT_GE(rid3, 0);
+  Exec("update a set x = x + 10 where x = 1");
+  Exec("delete from a where x = 2");
+  Assert();
+  EXPECT_EQ(Count("log"), 3);
+  Exec("insert into a values (4)");
+  ASSERT_FALSE(processor_->ExecuteUserStatement("insert into a values ('no')")
+                   .ok());
+  ASSERT_TRUE(processor_->in_transaction());
+  EXPECT_EQ(db_->delta_depth(), 1);
+
+  processor_->Abort();
+  EXPECT_FALSE(processor_->in_transaction());
+  EXPECT_EQ(db_->delta_depth(), 0);
+  EXPECT_TRUE(db_->ContentFingerprint() == committed_fp);
+  EXPECT_EQ(RowsWithRids(), committed_rows);
+
+  // The rid counters came back too: the same insert reuses the same rid.
+  Exec("insert into a values (3)");
+  EXPECT_EQ(RidOf("a", 3), rid3);
+}
+
+TEST_F(ProcessorTest, AbortIsANoOpOnceTheProcessorHasReverted) {
+  Load("create table a (x int); create table b (x int); "
+       "create table log (x int);",
+       "create rule cap on a when inserted "
+       "if exists (select * from inserted where x > 10) then rollback; "
+       "create rule boom on b when inserted "
+       "then insert into log values (1); update b set x = 1 / 0;");
+  // Outside any transaction, before and after a commit.
+  processor_->Abort();
+  EXPECT_EQ(db_->delta_depth(), 0);
+  Exec("insert into a values (1)");
+  Assert();
+  processor_->Commit();
+  processor_->Abort();
+  EXPECT_EQ(db_->delta_depth(), 0);
+  const Hash128 committed_fp = db_->ContentFingerprint();
+  const std::vector<std::map<Rid, Tuple>> committed_rows = RowsWithRids();
+
+  auto expect_committed_state = [&](const std::string& what) {
+    EXPECT_FALSE(processor_->in_transaction()) << what;
+    processor_->Abort();  // must not revert a second time at depth 0
+    EXPECT_FALSE(processor_->in_transaction()) << what;
+    EXPECT_EQ(db_->delta_depth(), 0) << what;
+    EXPECT_TRUE(db_->ContentFingerprint() == committed_fp) << what;
+    EXPECT_EQ(RowsWithRids(), committed_rows) << what;
+  };
+
+  // A user ROLLBACK.
+  Exec("insert into a values (2)");
+  auto rollback = processor_->ExecuteUserStatement("rollback");
+  ASSERT_TRUE(rollback.ok());
+  ASSERT_TRUE(rollback.value().rollback);
+  expect_committed_state("user rollback");
+
+  // A rule action's ROLLBACK.
+  Exec("insert into a values (99)");
+  ASSERT_TRUE(Assert().rolled_back);
+  expect_committed_state("rule rollback");
+
+  // A rule's runtime error (division by zero after a partial action).
+  Exec("insert into b values (5)");
+  auto failed = processor_->AssertRules();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kExecutionError);
+  expect_committed_state("rule runtime error");
 }
 
 }  // namespace

@@ -253,6 +253,34 @@ TEST_F(ServerFixture, MiniLoadGenRunIsCleanAndReportsLatency) {
   server_->Stop();
 }
 
+// --rows grows every synthetic tenant by exactly N committed rows in a
+// table no rule touches, whatever the traffic that follows commits.
+TEST_F(ServerFixture, LoadGenRowsPreloadsATableNoRuleTouches) {
+  StartServer();
+  LoadGenOptions options;
+  options.port = server_->port();
+  options.users = 4;
+  options.connections = 1;
+  options.duration_seconds = 0.2;
+  options.tenants = 2;
+  options.rows = 2500;
+  options.cleanup = false;
+  auto report = RunLoadGen(options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().http_errors, 0);
+  EXPECT_NE(LoadGenReportToJson(report.value()).find("\"rows\":2500"),
+            std::string::npos);
+  server_->Stop();
+  for (const char* name : {"load-0", "load-1"}) {
+    std::shared_ptr<Tenant> tenant = registry_.Find(name);
+    ASSERT_NE(tenant, nullptr) << name;
+    TableId ballast = tenant->catalog().schema().FindTable("ballast");
+    ASSERT_GE(ballast, 0) << name;
+    EXPECT_EQ(tenant->db().storage(ballast).size(), 2500u) << name;
+    EXPECT_EQ(tenant->db().delta_depth(), 0) << name;
+  }
+}
+
 }  // namespace
 }  // namespace service
 }  // namespace starburst

@@ -183,6 +183,7 @@ TEST(ServiceRouterTest, TransitionRunsRulesAndCommitControlsState) {
 
   std::shared_ptr<Tenant> tenant = registry.Find("chain");
   ASSERT_NE(tenant, nullptr);
+  EXPECT_EQ(tenant->db().delta_depth(), 0);
   std::string before = tenant->db().CanonicalString();
 
   // Replaying the same transition with commit=1 changes the database, and
@@ -193,6 +194,7 @@ TEST(ServiceRouterTest, TransitionRunsRulesAndCommitControlsState) {
   ASSERT_EQ(wet.status, 200) << wet.body;
   EXPECT_NE(wet.body.find("\"committed\":true"), std::string::npos);
   EXPECT_NE(tenant->db().CanonicalString(), before);
+  EXPECT_EQ(tenant->db().delta_depth(), 0);
 
   // The dry run reported the same fingerprint the wet run committed.
   auto fingerprint_of = [](const std::string& body) {
@@ -208,6 +210,7 @@ TEST(ServiceRouterTest, TransitionRunsRulesAndCommitControlsState) {
       "POST", "/v1/tenants/chain/transition", "insert into t0 values (1)"));
   EXPECT_EQ(broken.status, 422) << broken.body;
   EXPECT_EQ(tenant->db().CanonicalString(), after);
+  EXPECT_EQ(tenant->db().delta_depth(), 0);
 
   EXPECT_EQ(router
                 .Handle(MakeRequest("POST", "/v1/tenants/chain/transition",
@@ -252,6 +255,7 @@ TEST(ServiceRouterTest, DeeplyNestedBodyIsRefusedWithoutSideEffects) {
       router.Handle(MakeRequest("POST", "/v1/tenants/chain/transition",
                                 "insert into t0 values (1, 2)"));
   EXPECT_EQ(ok.status, 200) << ok.body;
+  EXPECT_EQ(tenant->db().delta_depth(), 0);
 }
 
 // What a refused request must leave alone: the tenant's database content,
@@ -261,6 +265,7 @@ struct TenantSnapshot {
   Hash128 fingerprint;
   std::vector<std::string> rules;
   std::string analyze;
+  int delta_depth = 0;
 };
 
 TenantSnapshot Snapshot(ServiceRouter& router, TenantRegistry& registry,
@@ -269,6 +274,7 @@ TenantSnapshot Snapshot(ServiceRouter& router, TenantRegistry& registry,
   EXPECT_NE(tenant, nullptr);
   TenantSnapshot snapshot;
   snapshot.fingerprint = tenant->db().ContentFingerprint();
+  snapshot.delta_depth = tenant->db().delta_depth();
   for (RuleIndex r = 0; r < tenant->catalog().num_rules(); ++r) {
     snapshot.rules.push_back(tenant->catalog().rule(r).name);
   }
@@ -283,6 +289,9 @@ void ExpectUnchanged(const TenantSnapshot& before,
   EXPECT_TRUE(after.fingerprint == before.fingerprint) << what;
   EXPECT_EQ(after.rules, before.rules) << what;
   EXPECT_EQ(after.analyze, before.analyze) << what;
+  // Transitions run in an undo-log delta on the tenant database; no
+  // request may leave one open.
+  EXPECT_EQ(after.delta_depth, 0) << what;
 }
 
 // Client-supplied budgets are capped by the router's server maxima: the
@@ -312,6 +321,7 @@ TEST(ServiceRouterTest, ParameterCapsAcceptTheCapAndRefuseOneMore) {
         "/v1/tenants/chain/witness?max_steps=1000000&max_depth=256"}) {
     HttpResponse at_cap = router.Handle(MakeRequest("POST", target, insert));
     EXPECT_EQ(at_cap.status, 200) << target << ": " << at_cap.body;
+    ExpectUnchanged(before, Snapshot(router, registry, "chain"), target);
   }
 }
 
@@ -329,7 +339,9 @@ TEST(ServiceRouterTest, EveryErrorLeavesTheTenantUntouched) {
       "create rule spin on t when inserted, updated(a) "
       "then update t set a = a + 1; "
       "create rule w1 on u when inserted then update t set a = 1; "
-      "create rule w2 on u when inserted then update t set a = 2;";
+      "create rule w2 on u when inserted then update t set a = 2; "
+      "create table v (a int); "
+      "create rule boom on v when inserted then update v set a = a / 0;";
   ASSERT_EQ(
       router.Handle(MakeRequest("POST", "/v1/tenants/t", script)).status,
       201);
@@ -361,6 +373,14 @@ TEST(ServiceRouterTest, EveryErrorLeavesTheTenantUntouched) {
        400},
       {"POST", "/v1/tenants/t/transition", "", 400},
       {"GET", "/v1/tenants/t/transition", "", 405},
+      // Partial effects: line 1 applies, then line 2 fails to parse, fails
+      // at runtime, or cascades into a rule that divides by zero.
+      {"POST", "/v1/tenants/t/transition",
+       "insert into u values (3)\nselec * frm t", 400},
+      {"POST", "/v1/tenants/t/transition",
+       "insert into u values (3)\nupdate u set a = a / 0", 422},
+      {"POST", "/v1/tenants/t/transition",
+       "insert into u values (3)\ninsert into v values (1)", 422},
       {"POST", "/v1/tenants/t/witness", "selec * frm t", 400},
       {"POST", "/v1/tenants/t/witness", deep, 422},
       {"POST", "/v1/tenants/t/witness?max_depth=257",
@@ -384,6 +404,69 @@ TEST(ServiceRouterTest, EveryErrorLeavesTheTenantUntouched) {
         << what << ": " << response.body.substr(0, 200);
     ExpectUnchanged(before, Snapshot(router, registry, "t"), what);
   }
+}
+
+// Dry runs revert in place, so they must leave no trace: a tenant that
+// served N dry runs and then one commit holds exactly the rows, under
+// exactly the rids, of a tenant that only served the commit. And a dry
+// run reports what the commit would, byte for byte.
+TEST(ServiceRouterTest, DryRunsLeaveTheRowsAndRidsOfACommitOnlyTenant) {
+  TenantRegistry registry;
+  ServiceRouter router(&registry);
+  const std::string script =
+      "create table t (a int); create table log (a int); "
+      "create rule note on t when inserted "
+      "then insert into log select a from inserted;";
+  for (const char* name : {"dry", "control"}) {
+    const std::string base = std::string("/v1/tenants/") + name;
+    ASSERT_EQ(router.Handle(MakeRequest("POST", base, script)).status, 201);
+    ASSERT_EQ(router
+                  .Handle(MakeRequest("POST", base + "/transition",
+                                      "insert into t values (1), (2)"))
+                  .status,
+              200);
+  }
+  std::shared_ptr<Tenant> dry = registry.Find("dry");
+  std::shared_ptr<Tenant> control = registry.Find("control");
+  for (int i = 0; i < 20; ++i) {
+    HttpResponse response = router.Handle(MakeRequest(
+        "POST", "/v1/tenants/dry/transition?commit=0",
+        "insert into t values (" + std::to_string(i) + ")\n" +
+            "delete from t where a = 1\nupdate log set a = a + 1"));
+    ASSERT_EQ(response.status, 200) << response.body;
+    EXPECT_EQ(dry->db().delta_depth(), 0);
+  }
+
+  const std::string last = "insert into t values (42), (43)";
+  HttpResponse dry_run = router.Handle(
+      MakeRequest("POST", "/v1/tenants/dry/transition?commit=0", last));
+  HttpResponse dry_commit = router.Handle(
+      MakeRequest("POST", "/v1/tenants/dry/transition?commit=1", last));
+  HttpResponse control_commit = router.Handle(
+      MakeRequest("POST", "/v1/tenants/control/transition", last));
+  ASSERT_EQ(dry_run.status, 200) << dry_run.body;
+  ASSERT_EQ(dry_commit.status, 200) << dry_commit.body;
+  ASSERT_EQ(control_commit.status, 200) << control_commit.body;
+  EXPECT_EQ(dry->db().delta_depth(), 0);
+  EXPECT_EQ(control->db().delta_depth(), 0);
+
+  const std::string dry_suffix = "\"committed\":false}";
+  const std::string wet_suffix = "\"committed\":true}";
+  ASSERT_GE(dry_run.body.size(), dry_suffix.size());
+  EXPECT_EQ(dry_run.body.substr(dry_run.body.size() - dry_suffix.size()),
+            dry_suffix);
+  EXPECT_EQ(dry_run.body.substr(0, dry_run.body.size() - dry_suffix.size()) +
+                wet_suffix,
+            dry_commit.body);
+  EXPECT_EQ(dry_commit.body, control_commit.body);
+
+  const Schema& schema = dry->catalog().schema();
+  for (TableId t = 0; t < schema.num_tables(); ++t) {
+    EXPECT_EQ(dry->db().storage(t).rows(), control->db().storage(t).rows())
+        << schema.table(t).name();
+  }
+  EXPECT_TRUE(dry->db().ContentFingerprint() ==
+              control->db().ContentFingerprint());
 }
 
 // The determinism contract, batch side: the analyze endpoint's bytes are

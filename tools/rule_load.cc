@@ -1,7 +1,7 @@
 // rule_load: load generator for the ruled daemon.
 //
 //   rule_load --port N [--host ADDR] [--users N] [--connections N]
-//             [--duration SECONDS] [--tenants N] [--seed N]
+//             [--duration SECONDS] [--tenants N] [--rows N] [--seed N]
 //             [--analyze-fraction F] [--json PATH] [--check]
 //             [--max-p99-ms MS] [--no-cleanup]
 //
@@ -9,7 +9,9 @@
 // deterministic request stream, over a bounded set of keep-alive
 // connections; loads synthetic generated tenants first, then drives a
 // transition/analyze/stats mix until the deadline and reports p50/p90/p99
-// latency and requests/s (the BENCH_service.json shape).
+// latency and requests/s (the BENCH_service.json shape). --rows N first
+// commits N rows per tenant into a table no rule touches, so transition
+// latency can be measured as the tenant database grows.
 //
 // --check turns the run into a gate: nonzero exit when any HTTP or
 // transport error occurred or p99 exceeded --max-p99-ms.
@@ -41,6 +43,8 @@ int Usage() {
       "  --connections N       driver connections/threads (default 64)\n"
       "  --duration SECONDS    how long to drive load (default 10)\n"
       "  --tenants N           synthetic tenants to load (default 4)\n"
+      "  --rows N              rows preloaded per tenant into a table no "
+      "rule touches (default 0)\n"
       "  --seed N              stream seed (default 1)\n"
       "  --analyze-fraction F  fraction of requests running full analysis "
       "(default 0.05)\n"
@@ -113,6 +117,13 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr || !ParseLong(v, &value) || value < 1) return Usage();
       options.tenants = static_cast<int>(value);
+    } else if (arg == "--rows") {
+      const char* v = next();
+      if (v == nullptr || !ParseLong(v, &value) || value < 0 ||
+          value > 100000000) {
+        return Usage();
+      }
+      options.rows = static_cast<int>(value);
     } else if (arg == "--seed") {
       const char* v = next();
       if (v == nullptr || !ParseLong(v, &value) || value < 0) return Usage();
