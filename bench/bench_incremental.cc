@@ -10,6 +10,11 @@
 //       only makes the gate below harder to pass).
 // warm: RemoveRule + AddRule of one rule, then Analyze() — only the pairs
 //       involving the edited rule recompute; everything else is reused.
+//       Edit e takes the rule at position (e · 97) mod n, so the edits
+//       rotate through the whole catalog instead of re-editing the rule
+//       that the previous edit appended as the last one (which would
+//       never touch anything above it). Remove, add and analyze are timed
+//       separately and reported next to their sum.
 //
 // Both paths cap the confluence report at the same violation budget so
 // the fixpoint cost is identical and the difference isolates pair-check
@@ -17,7 +22,8 @@
 //
 // Usage:
 //   bench_incremental                        print a timing report
-//   bench_incremental --json                 print the report as JSON
+//   bench_incremental --json                 print the report as JSON,
+//                                            with the date and the host
 //   bench_incremental --check FILE [--max-ratio R]
 //       re-time both paths and exit 1 when the live warm/cold ratio
 //       exceeds R (default R = 0.05: a single-rule edit must re-certify
@@ -28,13 +34,17 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "analysis/incremental.h"
 #include "workload/random_gen.h"
@@ -70,19 +80,31 @@ IncrementalAnalyzer Register(const GeneratedRuleSet& set) {
   return inc;
 }
 
+/// Edit e edits the rule at position (e · kEditStride) mod n. The stride
+/// is coprime with the catalog size, so the edits visit every position.
+constexpr size_t kEditStride = 97;
+
 struct Measurement {
   double cold_ns = 0;
   double warm_ns = 0;
+  double warm_remove_ns = 0;
+  double warm_add_ns = 0;
+  double warm_analyze_ns = 0;
   long cold_pairs_computed = 0;
   long warm_pairs_computed = 0;
   long warm_pairs_reused = 0;
   long warm_components_reused = 0;
 };
 
+double Median(std::vector<double> runs) {
+  std::sort(runs.begin(), runs.end());
+  return runs[runs.size() / 2];
+}
+
 /// Medians over kReps repetitions. The cold path is one big Analyze() per
-/// repetition; the warm path loops edits until 0.2s of work accumulates
-/// (each edit removes and re-adds the same rule, so the catalog returns
-/// to an equivalent state every iteration).
+/// repetition; the warm path loops edits until 0.2s of edit time
+/// accumulates (each edit removes a rule and adds it back as the last
+/// one, so the catalog holds the same rules every iteration).
 Measurement Measure(const GeneratedRuleSet& set) {
   Measurement m;
   constexpr int kReps = 5;
@@ -96,8 +118,7 @@ Measurement Measure(const GeneratedRuleSet& set) {
     if (!result.ok()) Die(result.status());
     m.cold_pairs_computed = result.value().stats.pair_checks_computed;
   }
-  std::sort(cold_runs.begin(), cold_runs.end());
-  m.cold_ns = cold_runs[cold_runs.size() / 2];
+  m.cold_ns = Median(cold_runs);
 
   // One long-lived analyzer for the warm path: the first Analyze() above
   // the loop warms it, then every iteration is edit + re-certify.
@@ -105,29 +126,59 @@ Measurement Measure(const GeneratedRuleSet& set) {
   if (auto warmup = inc.Analyze({}, kMaxViolations); !warmup.ok()) {
     Die(warmup.status());
   }
-  const RuleDef& edited = set.rules[set.rules.size() / 2];
-  std::vector<double> warm_runs;
+  // The rules in the analyzer's positional order, updated outside the
+  // timed calls.
+  std::vector<const RuleDef*> order;
+  for (const RuleDef& rule : set.rules) order.push_back(&rule);
+  size_t edit = 0;
+  std::vector<double> warm_runs, remove_runs, add_runs, analyze_runs;
   for (int rep = 0; rep < kReps; ++rep) {
-    auto start = std::chrono::steady_clock::now();
     int iters = 0;
-    double elapsed_ns = 0;
-    while (elapsed_ns < 0.2 * 1e9) {
-      if (Status s = inc.RemoveRule(edited.name); !s.ok()) Die(s);
-      if (Status s = inc.AddRule(edited.Clone()); !s.ok()) Die(s);
+    double remove_ns = 0, add_ns = 0, analyze_ns = 0;
+    while (remove_ns + add_ns + analyze_ns < 0.2 * 1e9) {
+      size_t position = (edit++ * kEditStride) % order.size();
+      const RuleDef* rule = order[position];
+      RuleDef clone = rule->Clone();
+      auto start = std::chrono::steady_clock::now();
+      if (Status s = inc.RemoveRule(rule->name); !s.ok()) Die(s);
+      remove_ns += ElapsedNs(start);
+      start = std::chrono::steady_clock::now();
+      if (Status s = inc.AddRule(std::move(clone)); !s.ok()) Die(s);
+      add_ns += ElapsedNs(start);
+      start = std::chrono::steady_clock::now();
       auto result = inc.Analyze({}, kMaxViolations);
+      analyze_ns += ElapsedNs(start);
       if (!result.ok()) Die(result.status());
+      order.erase(order.begin() + static_cast<std::ptrdiff_t>(position));
+      order.push_back(rule);
       m.warm_pairs_computed = result.value().stats.pair_checks_computed;
       m.warm_pairs_reused = result.value().stats.pair_checks_reused;
       m.warm_components_reused =
           result.value().stats.termination_components_reused;
       ++iters;
-      elapsed_ns = ElapsedNs(start);
     }
-    warm_runs.push_back(elapsed_ns / iters);
+    remove_runs.push_back(remove_ns / iters);
+    add_runs.push_back(add_ns / iters);
+    analyze_runs.push_back(analyze_ns / iters);
+    warm_runs.push_back((remove_ns + add_ns + analyze_ns) / iters);
   }
-  std::sort(warm_runs.begin(), warm_runs.end());
-  m.warm_ns = warm_runs[warm_runs.size() / 2];
+  m.warm_ns = Median(warm_runs);
+  m.warm_remove_ns = Median(remove_runs);
+  m.warm_add_ns = Median(add_runs);
+  m.warm_analyze_ns = Median(analyze_runs);
   return m;
+}
+
+#ifndef STARBURST_BUILD_TYPE
+#define STARBURST_BUILD_TYPE "unknown"
+#endif
+
+/// Today's date as YYYY-MM-DD (UTC).
+std::string Today() {
+  std::time_t now = std::time(nullptr);
+  char buf[16];
+  std::strftime(buf, sizeof(buf), "%Y-%m-%d", std::gmtime(&now));
+  return buf;
 }
 
 /// Minimal extraction of `"key": <number>` from the baseline JSON; good
@@ -181,8 +232,11 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "incremental re-certification: %.2f%% of full analysis "
-        "(baseline %.2f%%, limit %.1f%%)\n",
-        100 * ratio, 100 * baseline_ratio, 100 * max_ratio);
+        "(baseline %.2f%%, limit %.1f%%)\n"
+        "  warm edit %.0f ns = remove %.0f + add %.0f + analyze %.0f; "
+        "cold %.0f ns\n",
+        100 * ratio, 100 * baseline_ratio, 100 * max_ratio, m.warm_ns,
+        m.warm_remove_ns, m.warm_add_ns, m.warm_analyze_ns, m.cold_ns);
     if (ratio > max_ratio) {
       std::fprintf(stderr, "PERF REGRESSION: %.2f%% > %.1f%%\n", 100 * ratio,
                    100 * max_ratio);
@@ -196,9 +250,15 @@ int main(int argc, char** argv) {
     std::printf(
         "{\n"
         "  \"workload\": \"sparse_catalog_n%d_c%d_overlap%.2f\",\n"
+        "  \"date\": \"%s\",\n"
+        "  \"host\": {\"nproc\": %ld, \"build_type\": \"%s\"},\n"
         "  \"num_rules\": %d,\n"
+        "  \"edit_stride\": %zu,\n"
         "  \"cold_ns\": %.0f,\n"
         "  \"warm_ns\": %.0f,\n"
+        "  \"warm_remove_ns\": %.0f,\n"
+        "  \"warm_add_ns\": %.0f,\n"
+        "  \"warm_analyze_ns\": %.0f,\n"
         "  \"ratio\": %.6f,\n"
         "  \"speedup\": %.1f,\n"
         "  \"cold_pairs_computed\": %ld,\n"
@@ -207,7 +267,9 @@ int main(int argc, char** argv) {
         "  \"warm_components_reused\": %ld\n"
         "}\n",
         params.num_rules, params.num_clusters, params.overlap_density,
-        params.num_rules, m.cold_ns, m.warm_ns, ratio, speedup,
+        Today().c_str(), sysconf(_SC_NPROCESSORS_ONLN), STARBURST_BUILD_TYPE,
+        params.num_rules, kEditStride, m.cold_ns, m.warm_ns, m.warm_remove_ns,
+        m.warm_add_ns, m.warm_analyze_ns, ratio, speedup,
         m.cold_pairs_computed, m.warm_pairs_computed, m.warm_pairs_reused,
         m.warm_components_reused);
   } else {
@@ -221,6 +283,8 @@ int main(int argc, char** argv) {
                 "%ld reused, %ld components reused)\n",
                 m.warm_ns, m.warm_pairs_computed, m.warm_pairs_reused,
                 m.warm_components_reused);
+    std::printf("  remove %.0f ns + add %.0f ns + analyze %.0f ns\n",
+                m.warm_remove_ns, m.warm_add_ns, m.warm_analyze_ns);
     std::printf("warm/cold ratio: %.3f%%  (speedup %.0fx)\n", 100 * ratio,
                 speedup);
   }

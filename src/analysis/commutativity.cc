@@ -81,13 +81,25 @@ std::optional<std::pair<RuleIndex, RuleIndex>> CommutativityAnalyzer::Resolve(
   return std::minmax(i, j);
 }
 
-void CommutativityAnalyzer::RemoveRuleAt(RuleIndex r) {
-  for (std::vector<RuleIndex>& row : noncommute_) {
-    auto it = std::lower_bound(row.begin(), row.end(), r);
-    if (it != row.end() && *it == r) it = row.erase(it);
-    for (; it != row.end(); ++it) --*it;
+void CommutativityAnalyzer::TombstoneRule(RuleIndex r) {
+  for (RuleIndex c : noncommute_[r]) {
+    std::vector<RuleIndex>& row = noncommute_[c];
+    row.erase(std::lower_bound(row.begin(), row.end(), r));  // symmetric
   }
-  noncommute_.erase(noncommute_.begin() + r);
+  noncommute_[r].clear();
+}
+
+void CommutativityAnalyzer::Compact(const std::vector<RuleIndex>& remap) {
+  DropTombstones(&noncommute_, remap);
+  for (std::vector<RuleIndex>& row : noncommute_) RemapRow(&row, remap);
+  // A monotone renumbering keeps the (lo, hi) pairs sorted.
+  size_t kept = 0;
+  for (const auto& [lo, hi] : certified_) {
+    if (remap[lo] >= 0 && remap[hi] >= 0) {
+      certified_[kept++] = {remap[lo], remap[hi]};
+    }
+  }
+  certified_.resize(kept);
 }
 
 long CommutativityAnalyzer::Sweep(const std::vector<char>& dirty) {

@@ -113,11 +113,13 @@ class CommutativityAnalyzer {
   /// kept for later rule additions and ignored until then).
   void Certify(const std::string& a, const std::string& b);
 
-  /// Row maintenance for IncrementalAnalyzer, whose prelim grows and
-  /// shrinks in place. AppendRule() adds an empty row for the newest rule;
-  /// RemoveRuleAt() drops rule r and shifts every index above it down.
+  /// Row maintenance for IncrementalAnalyzer, whose prelim keeps rules in
+  /// stable slots. AppendRule() adds an empty row for the newest rule;
+  /// TombstoneRule() empties rule r's row and drops r from its partners'
+  /// rows; Compact() renumbers the rows as PrelimAnalysis::Compact does.
   void AppendRule() { noncommute_.emplace_back(); }
-  void RemoveRuleAt(RuleIndex r);
+  void TombstoneRule(RuleIndex r);
+  void Compact(const std::vector<RuleIndex>& remap);
 
   /// Checks the overlapping pairs with at least one rule marked in `dirty`
   /// (rows of dirty rules must be empty), records the noncommuting ones,

@@ -9,35 +9,28 @@
 
 namespace starburst {
 
+namespace {
+
+/// Compaction runs once the tombstones outnumber half the live rules, so
+/// the O(n) passes of Analyze() walk at most a third of dead slots.
+constexpr size_t kLiveRulesPerTombstone = 2;
+
+}  // namespace
+
 IncrementalAnalyzer::IncrementalAnalyzer(
     const Schema* schema, CommutativityCertifications certifications)
     : schema_(schema),
       prelim_(std::make_unique<PrelimAnalysis>()),
-      commutativity_(*prelim_, *schema, std::move(certifications)) {}
+      commutativity_(*prelim_, *schema, std::move(certifications)),
+      graph_(*prelim_) {}
 
-void IncrementalAnalyzer::RebuildPriorityEdges() {
-  int n = prelim_->num_rules();
-  prio_out_.assign(n, {});
-  have_dangling_ = false;
-  for (int i = 0; i < n; ++i) {
-    for (const std::string& other : rules_[i].precedes) {
-      RuleIndex j = prelim_->FindRule(other);
-      if (j < 0) {
-        have_dangling_ = true;
-        continue;
-      }
-      prio_out_[i].push_back(j);
-    }
-    for (const std::string& other : rules_[i].follows) {
-      RuleIndex j = prelim_->FindRule(other);
-      if (j < 0) {
-        have_dangling_ = true;
-        continue;
-      }
-      prio_out_[j].push_back(i);
-    }
+RuleIndex IncrementalAnalyzer::Slot(RuleIndex p) const {
+  RuleIndex s = p;
+  for (RuleIndex t : tombstones_) {
+    if (t > s) break;
+    ++s;
   }
-  prio_edges_stale_ = have_dangling_;
+  return s;
 }
 
 Status IncrementalAnalyzer::CheckPriorityAcyclic(
@@ -86,6 +79,16 @@ Status IncrementalAnalyzer::CheckPriorityAcyclic(
       "partial order");
 }
 
+void IncrementalAnalyzer::AddPriorityEdge(RuleIndex hi, RuleIndex lo) {
+  prio_out_[hi].push_back(lo);
+  if (!priority_stale_ && !priority_.AddEdge(hi, lo)) priority_stale_ = true;
+}
+
+void IncrementalAnalyzer::RemovePriorityEdge(RuleIndex hi, RuleIndex lo) {
+  std::vector<RuleIndex>& row = prio_out_[hi];
+  row.erase(std::find(row.begin(), row.end(), lo));
+}
+
 Status IncrementalAnalyzer::AddRule(RuleDef rule) {
   if (prelim_->FindRule(rule.name) >= 0) {
     return Status::SemanticError("duplicate rule name '" + rule.name + "'");
@@ -95,7 +98,6 @@ Status IncrementalAnalyzer::AddRule(RuleDef rule) {
   if (!computed.ok()) return computed.status();
 
   // Validate the new rule's priority clauses against the committed set.
-  if (prio_edges_stale_) RebuildPriorityEdges();
   std::vector<RuleIndex> out_targets, in_sources;
   for (const std::string& other : rule.precedes) {
     if (EqualsIgnoreCase(other, rule.name)) {
@@ -127,19 +129,73 @@ Status IncrementalAnalyzer::AddRule(RuleDef rule) {
   }
   STARBURST_RETURN_IF_ERROR(CheckPriorityAcyclic(out_targets, in_sources));
 
-  // Commit.
-  RuleIndex n = prelim_->AppendComputed(std::move(computed).value());
-  rules_.push_back(std::move(rule));
-  term_cache_.rule_versions[ToLower(rules_.back().name)] = next_version_++;
+  // Commit into a new slot.
+  RuleIndex s = prelim_->AppendComputed(std::move(computed).value());
   commutativity_.AppendRule();
   dirty_.push_back(1);
-  if (!prio_edges_stale_) {
-    prio_out_.push_back(std::move(out_targets));
-    for (RuleIndex s : in_sources) prio_out_[s].push_back(n);
+  prio_out_.emplace_back();
+  if (!priority_stale_) priority_.AppendRule();
+  for (size_t k = 0; k < rule.precedes.size(); ++k) {
+    clauses_by_target_[ToLower(rule.precedes[k])].push_back({s, true});
+    AddPriorityEdge(s, out_targets[k]);
   }
+  for (size_t k = 0; k < rule.follows.size(); ++k) {
+    clauses_by_target_[ToLower(rule.follows[k])].push_back({s, false});
+    AddPriorityEdge(in_sources[k], s);
+  }
+  // Other rules' clauses naming this rule dangled until now: re-bind them.
+  auto named = clauses_by_target_.find(ToLower(rule.name));
+  if (named != clauses_by_target_.end()) {
+    for (const Clause& c : named->second) {
+      --dangling_clauses_;
+      if (c.owner_higher) {
+        AddPriorityEdge(c.owner, s);
+      } else {
+        AddPriorityEdge(s, c.owner);
+      }
+    }
+  }
+  rules_.push_back(std::move(rule));
   overlap_pairs_ +=
-      static_cast<long>(prelim_->index().OverlapCandidates(n).size());
+      static_cast<long>(prelim_->index().OverlapCandidates(s).size());
   return Status::OK();
+}
+
+void IncrementalAnalyzer::UnbindPriorityClauses(RuleIndex s) {
+  const RuleDef& rule = rules_[s];
+  auto drop_own = [&](const std::string& target, bool owner_higher) {
+    auto entry = clauses_by_target_.find(ToLower(target));
+    std::vector<Clause>& clauses = entry->second;
+    clauses.erase(std::find_if(clauses.begin(), clauses.end(),
+                               [&](const Clause& c) {
+                                 return c.owner == s &&
+                                        c.owner_higher == owner_higher;
+                               }));
+    if (clauses.empty()) clauses_by_target_.erase(entry);
+    RuleIndex t = prelim_->FindRule(target);
+    if (t < 0) {
+      --dangling_clauses_;
+    } else if (owner_higher) {
+      RemovePriorityEdge(s, t);
+    } else {
+      RemovePriorityEdge(t, s);
+    }
+  };
+  for (const std::string& target : rule.precedes) drop_own(target, true);
+  for (const std::string& target : rule.follows) drop_own(target, false);
+  // Other rules' clauses naming this rule dangle until it is re-added.
+  auto named = clauses_by_target_.find(ToLower(rule.name));
+  if (named != clauses_by_target_.end()) {
+    for (const Clause& c : named->second) {
+      ++dangling_clauses_;
+      if (c.owner_higher) {
+        RemovePriorityEdge(c.owner, s);
+      } else {
+        RemovePriorityEdge(s, c.owner);
+      }
+    }
+  }
+  if (!priority_stale_) priority_.RemoveRule(s, prio_out_);
 }
 
 Status IncrementalAnalyzer::RemoveRule(const std::string& name) {
@@ -147,23 +203,79 @@ Status IncrementalAnalyzer::RemoveRule(const std::string& name) {
   if (r < 0) return Status::NotFound("no rule named '" + name + "'");
   overlap_pairs_ -=
       static_cast<long>(prelim_->index().OverlapCandidates(r).size());
-  commutativity_.RemoveRuleAt(r);
-  dirty_.erase(dirty_.begin() + r);
-  term_cache_.rule_versions.erase(ToLower(rules_[r].name));
-  rules_.erase(rules_.begin() + r);
-  prelim_->RemoveRuleAt(r);
-  // Indices shifted; rebuild the direct priority edges lazily.
-  prio_out_.clear();
-  prio_edges_stale_ = true;
+  UnbindPriorityClauses(r);
+  commutativity_.TombstoneRule(r);
+  prelim_->TombstoneRule(r);
+  rules_[r] = RuleDef();
+  dirty_[r] = 0;
+  tombstones_.insert(
+      std::upper_bound(tombstones_.begin(), tombstones_.end(), r), r);
+  if (tombstones_.size() * kLiveRulesPerTombstone >
+      static_cast<size_t>(num_rules())) {
+    Compact();
+  }
   return Status::OK();
+}
+
+void IncrementalAnalyzer::Compact() {
+  std::vector<RuleIndex> remap(rules_.size());
+  RuleIndex next = 0;
+  auto tombstone = tombstones_.begin();
+  for (RuleIndex s = 0; s < static_cast<RuleIndex>(remap.size()); ++s) {
+    if (tombstone != tombstones_.end() && *tombstone == s) {
+      remap[s] = -1;
+      ++tombstone;
+    } else {
+      remap[s] = next++;
+    }
+  }
+  DropTombstones(&rules_, remap);
+  DropTombstones(&dirty_, remap);
+  DropTombstones(&prio_out_, remap);
+  for (std::vector<RuleIndex>& row : prio_out_) RemapRow(&row, remap);
+  if (!priority_stale_) priority_.Compact(remap);
+  for (auto& [target, clauses] : clauses_by_target_) {
+    for (Clause& c : clauses) c.owner = remap[c.owner];
+  }
+  prelim_->Compact(remap);
+  commutativity_.Compact(remap);
+  term_cache_.discharged.clear();
+  tombstones_.clear();
+  ++compactions_;
+}
+
+void IncrementalAnalyzer::TranslateToPositions(RunResult* result) const {
+  auto positions = [this](std::vector<RuleIndex>* ids) {
+    for (RuleIndex& r : *ids) r = Position(r);
+  };
+  for (CycleReport& cycle : result->termination.cycles) {
+    positions(&cycle.rules);
+    positions(&cycle.certified);
+  }
+  for (ConfluenceViolation& v : result->confluence.violations) {
+    v.pair_i = Position(v.pair_i);
+    v.pair_j = Position(v.pair_j);
+    v.r1 = Position(v.r1);
+    v.r2 = Position(v.r2);
+    positions(&v.set_r1);
+    positions(&v.set_r2);
+    for (NoncommutativityCause& cause : v.causes) {
+      cause.actor = Position(cause.actor);
+      cause.affected = Position(cause.affected);
+    }
+  }
 }
 
 Result<IncrementalAnalyzer::RunResult> IncrementalAnalyzer::Analyze(
     const TerminationCertifications& certs, int max_violations) {
-  // Full clause resolution every analysis: this is where dangling
-  // precedes/follows left by RemoveRule surface as errors.
-  STARBURST_ASSIGN_OR_RETURN(PriorityOrder priority,
-                             PriorityOrder::Build(*prelim_, rules_));
+  if (dangling_clauses_ > 0 || priority_stale_) {
+    // A state the per-edit closure does not represent: resolve every
+    // clause from scratch, which fails exactly as a from-scratch analysis
+    // does, or recovers the closure once the state is valid again.
+    STARBURST_ASSIGN_OR_RETURN(priority_,
+                               PriorityOrder::Build(*prelim_, rules_));
+    priority_stale_ = false;
+  }
   RunResult result;
 
   // Pair sweep over dirty rules only. A dirty rule is always newly added
@@ -180,15 +292,27 @@ Result<IncrementalAnalyzer::RunResult> IncrementalAnalyzer::Analyze(
 
   long hits_before = term_cache_.hits;
   long misses_before = term_cache_.misses;
-  result.termination = TerminationAnalyzer::Analyze(*prelim_, certs,
-                                                    &term_cache_);
+  graph_.Recompute();
+  result.termination = TerminationAnalyzer::AnalyzeGraph(*prelim_, graph_,
+                                                         certs, &term_cache_);
   result.stats.termination_components_reused = term_cache_.hits - hits_before;
   result.stats.termination_components_recomputed =
       term_cache_.misses - misses_before;
 
-  ConfluenceAnalyzer confluence(commutativity_, priority);
-  result.confluence =
-      confluence.Analyze(result.termination.guaranteed, max_violations);
+  std::vector<RuleIndex> live;
+  live.reserve(num_rules());
+  auto tombstone = tombstones_.begin();
+  for (RuleIndex s = 0; s < static_cast<RuleIndex>(rules_.size()); ++s) {
+    if (tombstone != tombstones_.end() && *tombstone == s) {
+      ++tombstone;
+    } else {
+      live.push_back(s);
+    }
+  }
+  ConfluenceAnalyzer confluence(commutativity_, priority_);
+  result.confluence = confluence.AnalyzeSubset(
+      live, result.termination.guaranteed, max_violations);
+  if (!tombstones_.empty()) TranslateToPositions(&result);
   return result;
 }
 

@@ -409,21 +409,26 @@ RuleIndex PrelimAnalysis::AppendComputed(RulePrelim prelim) {
   return n;
 }
 
-void PrelimAnalysis::RemoveRuleAt(RuleIndex r) {
-  // Drop in-edges to r and close the index gap; rows stay sorted because
-  // the erase/decrement pass preserves relative order.
-  for (std::vector<RuleIndex>& row : triggers_) {
+void PrelimAnalysis::TombstoneRule(RuleIndex r) {
+  // In-edges: only rules touching r's table can perform an operation that
+  // triggers r (the AppendComputed argument), so only their rows hold r.
+  for (RuleIndex j : index_.RulesTouching(prelims_[r].table)) {
+    std::vector<RuleIndex>& row = triggers_[j];
     auto it = std::lower_bound(row.begin(), row.end(), r);
-    if (it != row.end() && *it == r) it = row.erase(it);
-    for (; it != row.end(); ++it) --*it;
+    if (it != row.end() && *it == r) row.erase(it);
   }
-  triggers_.erase(triggers_.begin() + r);
+  triggers_[r].clear();
   name_index_.erase(ToLower(prelims_[r].name));
-  for (auto& [name, idx] : name_index_) {
-    if (idx > r) --idx;
-  }
-  prelims_.erase(prelims_.begin() + r);
   index_.Remove(r);
+  prelims_[r] = RulePrelim();
+}
+
+void PrelimAnalysis::Compact(const std::vector<RuleIndex>& remap) {
+  DropTombstones(&prelims_, remap);
+  DropTombstones(&triggers_, remap);
+  for (std::vector<RuleIndex>& row : triggers_) RemapRow(&row, remap);
+  for (auto& [name, idx] : name_index_) idx = remap[idx];
+  index_.Build(prelims_);
 }
 
 std::vector<RuleIndex> PrelimAnalysis::CanUntrigger(

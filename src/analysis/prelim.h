@@ -97,9 +97,14 @@ class PrelimAnalysis {
   /// incrementally. Precondition: the name is not already present.
   RuleIndex AppendComputed(RulePrelim prelim);
 
-  /// Removes rule `r`; every index above `r` shifts down by one. The
-  /// Triggers relation and the footprint index are updated in place.
-  void RemoveRuleAt(RuleIndex r);
+  /// Turns rule `r` into an inert tombstone: no name, no operations, no
+  /// reads, no Triggers row or in-edges, no footprint. No other index
+  /// moves, so the cost is r's in-edges and footprint buckets, not n.
+  void TombstoneRule(RuleIndex r);
+
+  /// Drops the tombstones, renumbering rule s as remap[s] (rule_index.h's
+  /// DropTombstones). A pure renumbering: nothing is re-validated.
+  void Compact(const std::vector<RuleIndex>& remap);
 
   /// Returns a copy with the Section 8 extensions Reads_obs / Performs_obs:
   /// every observable rule additionally performs (I, Obs) and reads Obs.c,

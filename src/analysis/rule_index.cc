@@ -57,18 +57,8 @@ void RuleFootprintIndex::Append(const RulePrelim& prelim) {
 void RuleFootprintIndex::Remove(RuleIndex r) {
   for (TableId t : footprints_[r]) EraseSorted(&touching_[t], r);
   EraseSorted(&on_table_[own_table_[r]], r);
-  footprints_.erase(footprints_.begin() + r);
-  own_table_.erase(own_table_.begin() + r);
-  for (auto& [table, rules] : touching_) {
-    for (RuleIndex& rule : rules) {
-      if (rule > r) --rule;
-    }
-  }
-  for (auto& [table, rules] : on_table_) {
-    for (RuleIndex& rule : rules) {
-      if (rule > r) --rule;
-    }
-  }
+  footprints_[r].clear();
+  own_table_[r] = kInvalidTableId;
 }
 
 const std::vector<RuleIndex>& RuleFootprintIndex::RulesTouching(

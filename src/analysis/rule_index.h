@@ -2,6 +2,7 @@
 #define STARBURST_ANALYSIS_RULE_INDEX_H_
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "analysis/ops.h"
@@ -14,6 +15,32 @@ namespace starburst {
 using RuleIndex = int;
 
 struct RulePrelim;
+
+/// Slot compaction (IncrementalAnalyzer): `remap[s]` is the new index of
+/// slot s, or -1 for a tombstone. Live slots keep their relative order, so
+/// sorted rows stay sorted.
+///
+/// Keeps the entries of the live slots of a slot-indexed vector.
+template <typename T>
+void DropTombstones(std::vector<T>* slots, const std::vector<RuleIndex>& remap) {
+  size_t kept = 0;
+  for (size_t s = 0; s < slots->size(); ++s) {
+    if (remap[s] < 0) continue;
+    if (kept != s) (*slots)[kept] = std::move((*slots)[s]);  // no self-move
+    ++kept;
+  }
+  slots->resize(kept);
+}
+
+/// Renumbers a row of rule indices, dropping tombstones.
+inline void RemapRow(std::vector<RuleIndex>* row,
+                     const std::vector<RuleIndex>& remap) {
+  size_t kept = 0;
+  for (RuleIndex r : *row) {
+    if (remap[r] >= 0) (*row)[kept++] = remap[r];
+  }
+  row->resize(kept);
+}
 
 /// Inverted table -> rules index over the Section 3 per-rule sets, the
 /// backbone of sparse pair analysis on large catalogs.
@@ -28,9 +55,10 @@ struct RulePrelim;
 /// and need neither a pair check nor a cache entry; pair enumeration walks
 /// only OverlapCandidates().
 ///
-/// The index is maintained incrementally at rule registration: Append() is
-/// O(footprint) and Remove() is O(index size) (bucket reindexing). All
-/// bucket vectors are kept sorted ascending.
+/// The index is maintained incrementally at rule registration: Append() and
+/// Remove() are O(footprint · bucket size). Remove() renumbers nothing: the
+/// removed rule's index stays behind as an empty footprint (a tombstone,
+/// see IncrementalAnalyzer). All bucket vectors are kept sorted ascending.
 class RuleFootprintIndex {
  public:
   /// The footprint of one rule's prelim sets: sorted, deduplicated tables.
@@ -45,7 +73,8 @@ class RuleFootprintIndex {
   /// new index is the maximum.
   void Append(const RulePrelim& prelim);
 
-  /// Removes rule `r`; every index above `r` shifts down by one.
+  /// Drops rule `r` from every bucket and empties its footprint; no other
+  /// index moves.
   void Remove(RuleIndex r);
 
   int num_rules() const { return static_cast<int>(footprints_.size()); }

@@ -6,21 +6,13 @@ namespace starburst {
 
 namespace {
 
-/// Cache key for a cyclic component: the member rules' name@version pairs
-/// (ascending index order) plus the component's certified names. Any
-/// rule-set edit bumps versions (or changes membership), so a key match
-/// means the component's AcyclicWithout verdict is still valid.
+/// Cache key for a cyclic component: the member rules' slot ids
+/// (ascending) plus the component's certified names.
 std::string ComponentKey(const PrelimAnalysis& prelim,
-                         const TerminationComponentCache& cache,
                          const CycleReport& cycle) {
   std::string key;
   for (RuleIndex r : cycle.rules) {
-    std::string lower = ToLower(prelim.rule(r).name);
-    auto it = cache.rule_versions.find(lower);
-    uint64_t version = it == cache.rule_versions.end() ? 0 : it->second;
-    key += lower;
-    key += '@';
-    key += std::to_string(version);
+    key += std::to_string(r);
     key += ';';
   }
   key += '#';
@@ -31,10 +23,11 @@ std::string ComponentKey(const PrelimAnalysis& prelim,
   return key;
 }
 
-TerminationReport AnalyzeGraph(const PrelimAnalysis& prelim,
-                               const TriggeringGraph& graph,
-                               const TerminationCertifications& certs,
-                               TerminationComponentCache* cache = nullptr) {
+}  // namespace
+
+TerminationReport TerminationAnalyzer::AnalyzeGraph(
+    const PrelimAnalysis& prelim, const TriggeringGraph& graph,
+    const TerminationCertifications& certs, TerminationComponentCache* cache) {
   TerminationReport report;
   auto cyclic = graph.CyclicComponents();
   report.acyclic = cyclic.empty();
@@ -53,7 +46,7 @@ TerminationReport AnalyzeGraph(const PrelimAnalysis& prelim,
     if (cycle.certified.empty()) {
       cycle.discharged = false;
     } else if (cache != nullptr) {
-      std::string key = ComponentKey(prelim, *cache, cycle);
+      std::string key = ComponentKey(prelim, cycle);
       auto it = cache->discharged.find(key);
       if (it != cache->discharged.end()) {
         ++cache->hits;
@@ -72,13 +65,10 @@ TerminationReport AnalyzeGraph(const PrelimAnalysis& prelim,
   return report;
 }
 
-}  // namespace
-
 TerminationReport TerminationAnalyzer::Analyze(
-    const PrelimAnalysis& prelim, const TerminationCertifications& certs,
-    TerminationComponentCache* cache) {
+    const PrelimAnalysis& prelim, const TerminationCertifications& certs) {
   TriggeringGraph graph(prelim);
-  return AnalyzeGraph(prelim, graph, certs, cache);
+  return AnalyzeGraph(prelim, graph, certs);
 }
 
 TerminationReport TerminationAnalyzer::AnalyzeSubset(

@@ -1,7 +1,6 @@
 #ifndef STARBURST_ANALYSIS_TERMINATION_H_
 #define STARBURST_ANALYSIS_TERMINATION_H_
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -46,16 +45,14 @@ struct TerminationReport {
   std::vector<CycleReport> cycles;
 };
 
-/// Cross-Analyze() memo of per-component discharge verdicts, keyed by the
-/// member rules' (name, version) pairs plus the certified names. A cyclic
-/// component whose rules and certifications are unchanged since the last
-/// analysis reuses its AcyclicWithout verdict — after a single-rule edit,
-/// only components containing the edited rule (the dirty SCCs) recompute.
-/// The owner (IncrementalAnalyzer) bumps `rule_versions` on every
-/// add/remove so redefinitions never reuse a stale verdict.
+/// Cross-Analyze() memo of per-component discharge verdicts for
+/// IncrementalAnalyzer, keyed by the member rules' slot ids plus the
+/// certified names. A slot is never reused between compactions, so the
+/// slot id is the rule's version: a cyclic component whose members and
+/// certifications are unchanged since the last analysis reuses its
+/// AcyclicWithout verdict, and a redefinition (a new slot) never does.
+/// Compaction renumbers the slots, so it clears `discharged`.
 struct TerminationComponentCache {
-  /// Monotonic per-rule versions (lowercased name -> version).
-  std::map<std::string, uint64_t> rule_versions;
   /// Component key -> discharge verdict.
   std::map<std::string, bool> discharged;
   long hits = 0;
@@ -66,11 +63,17 @@ struct TerminationComponentCache {
 /// components, and checks which are discharged by user certifications.
 class TerminationAnalyzer {
  public:
-  /// Analyzes all rules. With a non-null `cache`, per-component discharge
-  /// verdicts are memoized across calls (see TerminationComponentCache).
+  /// Analyzes all rules.
   static TerminationReport Analyze(const PrelimAnalysis& prelim,
-                                   const TerminationCertifications& certs = {},
-                                   TerminationComponentCache* cache = nullptr);
+                                   const TerminationCertifications& certs = {});
+
+  /// Analyzes an already built graph over `prelim`'s rules. With a
+  /// non-null `cache`, per-component discharge verdicts are memoized across
+  /// calls (see TerminationComponentCache).
+  static TerminationReport AnalyzeGraph(
+      const PrelimAnalysis& prelim, const TriggeringGraph& graph,
+      const TerminationCertifications& certs,
+      TerminationComponentCache* cache = nullptr);
 
   /// Analyzes the subset `members` (used by partial confluence, which
   /// needs termination of Sig(T') processed on its own — Section 7).

@@ -4,27 +4,8 @@
 
 namespace starburst {
 
-namespace {
-
-/// HasEdge() binary-searches adjacency rows, so their sortedness is a hard
-/// invariant. PrelimAnalysis::Triggers() rows are built sorted, but the
-/// graph enforces it anyway — a cheap is_sorted scan in the common case.
-void EnsureSorted(std::vector<std::vector<RuleIndex>>* adjacency) {
-  for (std::vector<RuleIndex>& row : *adjacency) {
-    if (!std::is_sorted(row.begin(), row.end())) {
-      std::sort(row.begin(), row.end());
-    }
-  }
-}
-
-}  // namespace
-
-TriggeringGraph::TriggeringGraph(const PrelimAnalysis& prelim) {
-  int n = prelim.num_rules();
-  is_member_.assign(n, true);
-  adjacency_.assign(n, {});
-  for (RuleIndex i = 0; i < n; ++i) adjacency_[i] = prelim.Triggers(i);
-  EnsureSorted(&adjacency_);
+TriggeringGraph::TriggeringGraph(const PrelimAnalysis& prelim)
+    : prelim_(&prelim) {
   ComputeComponents();
 }
 
@@ -33,23 +14,22 @@ TriggeringGraph::TriggeringGraph(const PrelimAnalysis& prelim,
   int n = prelim.num_rules();
   is_member_.assign(n, false);
   for (RuleIndex r : members) is_member_[r] = true;
-  adjacency_.assign(n, {});
+  // Filtering keeps the prelim rows' ascending order, which HasEdge's
+  // binary search relies on.
+  subset_rows_.assign(n, {});
   for (RuleIndex i = 0; i < n; ++i) {
     if (!is_member_[i]) continue;
     for (RuleIndex j : prelim.Triggers(i)) {
-      if (is_member_[j]) adjacency_[i].push_back(j);
+      if (is_member_[j]) subset_rows_[i].push_back(j);
     }
   }
-  EnsureSorted(&adjacency_);
   ComputeComponents();
 }
 
-const std::vector<RuleIndex>& TriggeringGraph::OutEdges(RuleIndex r) const {
-  return adjacency_[r];
-}
+void TriggeringGraph::Recompute() { ComputeComponents(); }
 
 bool TriggeringGraph::HasEdge(RuleIndex from, RuleIndex to) const {
-  const auto& edges = adjacency_[from];
+  const auto& edges = OutEdges(from);
   return std::binary_search(edges.begin(), edges.end(), to);
 }
 
@@ -60,53 +40,56 @@ void TriggeringGraph::ComputeComponents() {
   comp_nodes_.clear();
   comp_start_.clear();
   comp_start_.push_back(0);
-  std::vector<int> index(n, -1), lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<int> stack;
+  cyclic_.clear();
+  index_.assign(n, -1);
+  lowlink_.assign(n, 0);
+  on_stack_.assign(n, 0);
+  stack_.clear();
   int next_index = 0;
 
-  struct Frame {
-    int v;
-    size_t edge;
-  };
-  std::vector<Frame> frames;
-
   for (int root = 0; root < n; ++root) {
-    if (!is_member_[root] || index[root] != -1) continue;
-    frames.clear();
-    frames.push_back({root, 0});
-    index[root] = lowlink[root] = next_index++;
-    stack.push_back(root);
-    on_stack[root] = true;
-    while (!frames.empty()) {
-      Frame& frame = frames.back();
-      if (frame.edge < adjacency_[frame.v].size()) {
-        int w = adjacency_[frame.v][frame.edge++];
-        if (index[w] == -1) {
-          index[w] = lowlink[w] = next_index++;
-          stack.push_back(w);
-          on_stack[w] = true;
-          frames.push_back({w, 0});
-        } else if (on_stack[w]) {
-          lowlink[frame.v] = std::min(lowlink[frame.v], index[w]);
+    if ((!is_member_.empty() && !is_member_[root]) || index_[root] != -1) {
+      continue;
+    }
+    frames_.clear();
+    frames_.push_back({root, 0});
+    index_[root] = lowlink_[root] = next_index++;
+    stack_.push_back(root);
+    on_stack_[root] = 1;
+    while (!frames_.empty()) {
+      Frame& frame = frames_.back();
+      const std::vector<RuleIndex>& edges = OutEdges(frame.v);
+      if (frame.edge < edges.size()) {
+        int w = edges[frame.edge++];
+        if (index_[w] == -1) {
+          index_[w] = lowlink_[w] = next_index++;
+          stack_.push_back(w);
+          on_stack_[w] = 1;
+          frames_.push_back({w, 0});
+        } else if (on_stack_[w]) {
+          lowlink_[frame.v] = std::min(lowlink_[frame.v], index_[w]);
         }
       } else {
         int v = frame.v;
-        frames.pop_back();
-        if (!frames.empty()) {
-          lowlink[frames.back().v] = std::min(lowlink[frames.back().v],
-                                              lowlink[v]);
+        frames_.pop_back();
+        if (!frames_.empty()) {
+          lowlink_[frames_.back().v] =
+              std::min(lowlink_[frames_.back().v], lowlink_[v]);
         }
-        if (lowlink[v] == index[v]) {
+        if (lowlink_[v] == index_[v]) {
           size_t begin = comp_nodes_.size();
           while (true) {
-            int w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
+            int w = stack_.back();
+            stack_.pop_back();
+            on_stack_[w] = 0;
             comp_nodes_.push_back(w);
             if (w == v) break;
           }
           std::sort(comp_nodes_.begin() + begin, comp_nodes_.end());
+          // v's row was just scanned, so the self-loop test hits cache.
+          if (comp_nodes_.size() - begin > 1 || HasEdge(v, v)) {
+            cyclic_.push_back(static_cast<int>(comp_start_.size()) - 1);
+          }
           comp_start_.push_back(static_cast<int>(comp_nodes_.size()));
         }
       }
@@ -127,16 +110,10 @@ std::vector<std::vector<RuleIndex>> TriggeringGraph::Components() const {
 
 std::vector<std::vector<RuleIndex>> TriggeringGraph::CyclicComponents() const {
   std::vector<std::vector<RuleIndex>> cyclic;
-  size_t num = comp_start_.size() - 1;
-  for (size_t c = 0; c < num; ++c) {
-    int begin = comp_start_[c], end = comp_start_[c + 1];
-    bool is_cyclic = end - begin > 1 ||
-                     (end - begin == 1 &&
-                      HasEdge(comp_nodes_[begin], comp_nodes_[begin]));
-    if (is_cyclic) {
-      cyclic.emplace_back(comp_nodes_.begin() + begin,
-                          comp_nodes_.begin() + end);
-    }
+  cyclic.reserve(cyclic_.size());
+  for (int c : cyclic_) {
+    cyclic.emplace_back(comp_nodes_.begin() + comp_start_[c],
+                        comp_nodes_.begin() + comp_start_[c + 1]);
   }
   return cyclic;
 }
@@ -163,8 +140,9 @@ bool TriggeringGraph::AcyclicWithout(
     frames.push_back({r, 0});
     while (!frames.empty()) {
       Frame& frame = frames.back();
-      if (frame.edge < adjacency_[frame.v].size()) {
-        RuleIndex w = adjacency_[frame.v][frame.edge++];
+      const std::vector<RuleIndex>& edges = OutEdges(frame.v);
+      if (frame.edge < edges.size()) {
+        RuleIndex w = edges[frame.edge++];
         if (!active[w]) continue;
         if (color[w] == Color::kGray) return false;
         if (color[w] == Color::kWhite) {

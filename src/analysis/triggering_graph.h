@@ -12,8 +12,10 @@ namespace starburst {
 /// rule set is guaranteed to terminate.
 class TriggeringGraph {
  public:
-  /// Builds the graph over all rules of `prelim`.
+  /// Builds the graph over all rules of `prelim`, reading its Triggers rows
+  /// in place (no copy), so `prelim` must outlive the graph.
   explicit TriggeringGraph(const PrelimAnalysis& prelim);
+  explicit TriggeringGraph(PrelimAnalysis&&) = delete;
 
   /// Builds the graph over the subset `members` only (edges within the
   /// subset). Used for partial confluence, which needs termination of
@@ -22,10 +24,20 @@ class TriggeringGraph {
   TriggeringGraph(const PrelimAnalysis& prelim,
                   const std::vector<RuleIndex>& members);
 
-  int num_rules() const { return static_cast<int>(adjacency_.size()); }
+  /// Re-runs Tarjan on a full graph after its prelim's rules changed. The
+  /// working storage is kept across calls, so a long-lived graph (the
+  /// incremental analyzer's) stops allocating once it has seen its size.
+  void Recompute();
+
+  int num_rules() const {
+    return prelim_ != nullptr ? prelim_->num_rules()
+                              : static_cast<int>(subset_rows_.size());
+  }
 
   /// Out-edges of rule `r` (global rule indices, ascending).
-  const std::vector<RuleIndex>& OutEdges(RuleIndex r) const;
+  const std::vector<RuleIndex>& OutEdges(RuleIndex r) const {
+    return prelim_ != nullptr ? prelim_->Triggers(r) : subset_rows_[r];
+  }
 
   bool HasEdge(RuleIndex from, RuleIndex to) const;
 
@@ -50,13 +62,28 @@ class TriggeringGraph {
  private:
   void ComputeComponents();
 
-  std::vector<bool> is_member_;                    // global index -> in graph
-  std::vector<std::vector<RuleIndex>> adjacency_;  // global index -> edges
+  /// Set for a full graph, whose rows are the prelim's Triggers rows.
+  const PrelimAnalysis* prelim_ = nullptr;
+  /// A subset graph's own rows (global index -> edges within the subset)
+  /// and membership.
+  std::vector<std::vector<RuleIndex>> subset_rows_;
+  std::vector<bool> is_member_;
   /// Flat SCC storage: component c is comp_nodes_[comp_start_[c] ..
   /// comp_start_[c + 1]), sorted ascending; components in reverse
   /// topological order.
   std::vector<RuleIndex> comp_nodes_;
   std::vector<int> comp_start_;
+  /// The components that contain a cycle, ascending.
+  std::vector<int> cyclic_;
+  /// Tarjan working storage, kept for Recompute().
+  struct Frame {
+    RuleIndex v;
+    size_t edge;
+  };
+  std::vector<int> index_, lowlink_;
+  std::vector<char> on_stack_;
+  std::vector<RuleIndex> stack_;
+  std::vector<Frame> frames_;
 };
 
 }  // namespace starburst

@@ -663,7 +663,10 @@ OracleOutcome IncrementalEquivalence(const GeneratedRuleSet& set,
   std::string mismatch = compare_all();
   if (!mismatch.empty()) return Fail("after initial build: " + mismatch);
 
-  constexpr int kEdits = 4;
+  // Enough edits that typical 2-4-rule sets cross the incremental
+  // analyzer's tombstone compaction more than once, with analyses both
+  // before and after each crossing.
+  constexpr int kEdits = 12;
   for (int e = 0; e < kEdits; ++e) {
     int kind = rng.Below(3);
     std::string step;
