@@ -1,6 +1,7 @@
 #include "analysis/commutativity.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/metrics.h"
 #include "common/strings.h"
@@ -84,7 +85,9 @@ std::optional<std::pair<RuleIndex, RuleIndex>> CommutativityAnalyzer::Resolve(
 void CommutativityAnalyzer::TombstoneRule(RuleIndex r) {
   for (RuleIndex c : noncommute_[r]) {
     std::vector<RuleIndex>& row = noncommute_[c];
-    row.erase(std::lower_bound(row.begin(), row.end(), r));  // symmetric
+    auto it = std::lower_bound(row.begin(), row.end(), r);
+    assert(it != row.end() && *it == r && "noncommute rows are symmetric");
+    row.erase(it);
   }
   noncommute_[r].clear();
 }

@@ -1,6 +1,7 @@
 #include "analysis/incremental.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "analysis/priority.h"
@@ -79,14 +80,11 @@ Status IncrementalAnalyzer::CheckPriorityAcyclic(
       "partial order");
 }
 
-void IncrementalAnalyzer::AddPriorityEdge(RuleIndex hi, RuleIndex lo) {
-  prio_out_[hi].push_back(lo);
-  if (!priority_stale_ && !priority_.AddEdge(hi, lo)) priority_stale_ = true;
-}
-
 void IncrementalAnalyzer::RemovePriorityEdge(RuleIndex hi, RuleIndex lo) {
   std::vector<RuleIndex>& row = prio_out_[hi];
-  row.erase(std::find(row.begin(), row.end(), lo));
+  auto it = std::find(row.begin(), row.end(), lo);
+  assert(it != row.end() && "one edge per bound clause");
+  row.erase(it);
 }
 
 Status IncrementalAnalyzer::AddRule(RuleDef rule) {
@@ -134,24 +132,28 @@ Status IncrementalAnalyzer::AddRule(RuleDef rule) {
   commutativity_.AppendRule();
   dirty_.push_back(1);
   prio_out_.emplace_back();
-  if (!priority_stale_) priority_.AppendRule();
   for (size_t k = 0; k < rule.precedes.size(); ++k) {
     clauses_by_target_[ToLower(rule.precedes[k])].push_back({s, true});
-    AddPriorityEdge(s, out_targets[k]);
+    prio_out_[s].push_back(out_targets[k]);
   }
   for (size_t k = 0; k < rule.follows.size(); ++k) {
     clauses_by_target_[ToLower(rule.follows[k])].push_back({s, false});
-    AddPriorityEdge(in_sources[k], s);
+    prio_out_[in_sources[k]].push_back(s);
   }
   // Other rules' clauses naming this rule dangled until now: re-bind them.
   auto named = clauses_by_target_.find(ToLower(rule.name));
+  if (!rule.precedes.empty() || !rule.follows.empty() ||
+      named != clauses_by_target_.end()) {
+    priority_stale_ = true;
+  } else if (!priority_stale_) {
+    priority_.AppendRule();
+  }
   if (named != clauses_by_target_.end()) {
     for (const Clause& c : named->second) {
-      --dangling_clauses_;
       if (c.owner_higher) {
-        AddPriorityEdge(c.owner, s);
+        prio_out_[c.owner].push_back(s);
       } else {
-        AddPriorityEdge(s, c.owner);
+        prio_out_[s].push_back(c.owner);
       }
     }
   }
@@ -165,17 +167,19 @@ void IncrementalAnalyzer::UnbindPriorityClauses(RuleIndex s) {
   const RuleDef& rule = rules_[s];
   auto drop_own = [&](const std::string& target, bool owner_higher) {
     auto entry = clauses_by_target_.find(ToLower(target));
+    assert(entry != clauses_by_target_.end());
     std::vector<Clause>& clauses = entry->second;
-    clauses.erase(std::find_if(clauses.begin(), clauses.end(),
-                               [&](const Clause& c) {
-                                 return c.owner == s &&
-                                        c.owner_higher == owner_higher;
-                               }));
+    auto own = std::find_if(clauses.begin(), clauses.end(),
+                            [&](const Clause& c) {
+                              return c.owner == s &&
+                                     c.owner_higher == owner_higher;
+                            });
+    assert(own != clauses.end());
+    clauses.erase(own);
     if (clauses.empty()) clauses_by_target_.erase(entry);
     RuleIndex t = prelim_->FindRule(target);
-    if (t < 0) {
-      --dangling_clauses_;
-    } else if (owner_higher) {
+    if (t < 0) return;  // dangling: no edge was bound
+    if (owner_higher) {
       RemovePriorityEdge(s, t);
     } else {
       RemovePriorityEdge(t, s);
@@ -185,9 +189,12 @@ void IncrementalAnalyzer::UnbindPriorityClauses(RuleIndex s) {
   for (const std::string& target : rule.follows) drop_own(target, false);
   // Other rules' clauses naming this rule dangle until it is re-added.
   auto named = clauses_by_target_.find(ToLower(rule.name));
+  if (!rule.precedes.empty() || !rule.follows.empty() ||
+      named != clauses_by_target_.end()) {
+    priority_stale_ = true;
+  }
   if (named != clauses_by_target_.end()) {
     for (const Clause& c : named->second) {
-      ++dangling_clauses_;
       if (c.owner_higher) {
         RemovePriorityEdge(c.owner, s);
       } else {
@@ -195,7 +202,6 @@ void IncrementalAnalyzer::UnbindPriorityClauses(RuleIndex s) {
       }
     }
   }
-  if (!priority_stale_) priority_.RemoveRule(s, prio_out_);
 }
 
 Status IncrementalAnalyzer::RemoveRule(const std::string& name) {
@@ -233,12 +239,12 @@ void IncrementalAnalyzer::Compact() {
   DropTombstones(&dirty_, remap);
   DropTombstones(&prio_out_, remap);
   for (std::vector<RuleIndex>& row : prio_out_) RemapRow(&row, remap);
-  if (!priority_stale_) priority_.Compact(remap);
   for (auto& [target, clauses] : clauses_by_target_) {
     for (Clause& c : clauses) c.owner = remap[c.owner];
   }
   prelim_->Compact(remap);
   commutativity_.Compact(remap);
+  priority_stale_ = true;
   term_cache_.discharged.clear();
   tombstones_.clear();
   ++compactions_;
@@ -268,10 +274,11 @@ void IncrementalAnalyzer::TranslateToPositions(RunResult* result) const {
 
 Result<IncrementalAnalyzer::RunResult> IncrementalAnalyzer::Analyze(
     const TerminationCertifications& certs, int max_violations) {
-  if (dangling_clauses_ > 0 || priority_stale_) {
-    // A state the per-edit closure does not represent: resolve every
-    // clause from scratch, which fails exactly as a from-scratch analysis
-    // does, or recovers the closure once the state is valid again.
+  if (priority_stale_) {
+    // The Section 3 closure over the slots: tombstones have no clauses
+    // and no name, so they come out unordered, and a dangling or cyclic
+    // clause fails exactly as a from-scratch analysis does (and again at
+    // every Analyze() until an edit mends it).
     STARBURST_ASSIGN_OR_RETURN(priority_,
                                PriorityOrder::Build(*prelim_, rules_));
     priority_stale_ = false;

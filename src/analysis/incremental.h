@@ -50,12 +50,15 @@ struct IncrementalStats {
 ///     (rule_index.h), so the pair state is CommutativityAnalyzer's
 ///     noncommute rows over overlapping pairs only, and an edit dirties
 ///     just the pairs involving the edited rule.
-///   - The Section 3 priority closure is kept per edit, from the new
-///     rule's clauses and from other rules' clauses that re-bind to a
-///     re-added name. States it cannot represent fall back to
-///     PriorityOrder::Build over the live rules at the next Analyze(),
-///     which returns the from-scratch error: a dangling clause left by a
-///     removal, or a cycle closed by re-bound clauses.
+///   - The direct priority edges of the bound clauses are kept per edit
+///     (a removed rule's clauses, and other rules' clauses naming it, are
+///     unbound; they re-bind when the name is re-added), so AddRule() can
+///     check a new rule's clauses for cycles. The Section 3 closure is
+///     rebuilt (PriorityOrder::Build over the slots) only at an Analyze()
+///     after an edit that bound or unbound a clause, or after a
+///     compaction; an edit of a rule no clause involves just appends an
+///     unordered slot. Build returns the from-scratch error for a dangling
+///     clause or a cycle closed by re-bound clauses.
 ///   - Termination reruns Tarjan over the Triggers rows in place (no
 ///     graph copy, no allocation once warm); discharge verdicts are per
 ///     cyclic component and memoized by slot ids
@@ -73,7 +76,7 @@ class IncrementalAnalyzer {
       const Schema* schema, CommutativityCertifications certifications = {});
 
   /// Validates and appends a rule, updating prelim state, the footprint
-  /// index, the Triggers relation and the priority closure incrementally.
+  /// index, the Triggers relation and the priority edges incrementally.
   /// Fails on semantic errors, leaving the rule set unchanged.
   Status AddRule(RuleDef rule);
 
@@ -127,9 +130,7 @@ class IncrementalAnalyzer {
   Status CheckPriorityAcyclic(const std::vector<RuleIndex>& out_targets,
                               const std::vector<RuleIndex>& in_sources) const;
 
-  /// Adds or removes the direct edge hi -> lo, keeping the closure in step
-  /// while it is representable.
-  void AddPriorityEdge(RuleIndex hi, RuleIndex lo);
+  /// Removes the direct edge hi -> lo of one bound clause.
   void RemovePriorityEdge(RuleIndex hi, RuleIndex lo);
 
   /// Drops slot s's priority edges: its own clauses, and other rules'
@@ -167,13 +168,11 @@ class IncrementalAnalyzer {
     bool owner_higher;
   };
   std::unordered_map<std::string, std::vector<Clause>> clauses_by_target_;
-  /// Clauses of live rules whose target is not live.
-  long dangling_clauses_ = 0;
   /// Direct priority edges (hi -> lo) of the bound clauses, one entry per
   /// clause.
   std::vector<std::vector<RuleIndex>> prio_out_;
-  /// The closure of prio_out_; stale once a re-bound clause closed a
-  /// cycle, until the next Analyze() rebuilds it.
+  /// The closure of prio_out_ over the slots; stale once an edit bound or
+  /// unbound a clause, until the next Analyze() rebuilds it.
   PriorityOrder priority_;
   bool priority_stale_ = false;
   /// TG_R over the live prelim, re-run by every Analyze().

@@ -104,97 +104,6 @@ Result<PriorityOrder> PriorityOrder::FromEdges(
   return order;
 }
 
-namespace {
-
-/// Inserts `r` into a sorted row; false when it was already there.
-bool InsertSorted(std::vector<RuleIndex>* row, RuleIndex r) {
-  auto it = std::lower_bound(row->begin(), row->end(), r);
-  if (it != row->end() && *it == r) return false;
-  row->insert(it, r);
-  return true;
-}
-
-void EraseSorted(std::vector<RuleIndex>* row, RuleIndex r) {
-  auto it = std::lower_bound(row->begin(), row->end(), r);
-  if (it != row->end() && *it == r) row->erase(it);
-}
-
-}  // namespace
-
-void PriorityOrder::AppendRule() {
-  ++n_;
-  below_.emplace_back();
-  above_.emplace_back();
-}
-
-bool PriorityOrder::AddEdge(RuleIndex hi, RuleIndex lo) {
-  if (hi == lo || Higher(lo, hi)) return false;
-  if (Higher(hi, lo)) return true;
-  // ups = {hi} ∪ above_[hi], downs = {lo} ∪ below_[lo]. Neither source row
-  // is written below: hi is in no downs row and lo in no ups row, or the
-  // edge would close a cycle.
-  auto link = [this](RuleIndex u, RuleIndex d) {
-    if (InsertSorted(&below_[u], d)) {
-      InsertSorted(&above_[d], u);
-      ++ordered_pairs_;
-    }
-  };
-  for (RuleIndex u : above_[hi]) {
-    link(u, lo);
-    for (RuleIndex d : below_[lo]) link(u, d);
-  }
-  link(hi, lo);
-  for (RuleIndex d : below_[lo]) link(hi, d);
-  return true;
-}
-
-void PriorityOrder::RemoveRule(
-    RuleIndex r, const std::vector<std::vector<RuleIndex>>& direct) {
-  for (RuleIndex d : below_[r]) EraseSorted(&above_[d], r);
-  ordered_pairs_ -= static_cast<long>(below_[r].size());
-  below_[r].clear();
-  std::vector<RuleIndex> ups = std::move(above_[r]);
-  above_[r].clear();
-  if (ups.empty()) return;
-  // A rule not above r never reached anything through r, so only the rows
-  // of `ups` change: re-derive each by DFS over the remaining edges.
-  std::vector<RuleIndex> stamp(n_, -1);
-  std::vector<RuleIndex> stack;
-  for (RuleIndex u : ups) {
-    std::vector<RuleIndex> reach;
-    stack.assign(direct[u].begin(), direct[u].end());
-    for (RuleIndex w : stack) stamp[w] = u;
-    while (!stack.empty()) {
-      RuleIndex v = stack.back();
-      stack.pop_back();
-      reach.push_back(v);
-      for (RuleIndex w : direct[v]) {
-        if (stamp[w] != u) {
-          stamp[w] = u;
-          stack.push_back(w);
-        }
-      }
-    }
-    std::sort(reach.begin(), reach.end());
-    reach.erase(std::unique(reach.begin(), reach.end()), reach.end());
-    for (RuleIndex v : below_[u]) {
-      if (v != r && !std::binary_search(reach.begin(), reach.end(), v)) {
-        EraseSorted(&above_[v], u);
-      }
-    }
-    ordered_pairs_ -= static_cast<long>(below_[u].size() - reach.size());
-    below_[u] = std::move(reach);
-  }
-}
-
-void PriorityOrder::Compact(const std::vector<RuleIndex>& remap) {
-  DropTombstones(&below_, remap);
-  DropTombstones(&above_, remap);
-  for (std::vector<RuleIndex>& row : below_) RemapRow(&row, remap);
-  for (std::vector<RuleIndex>& row : above_) RemapRow(&row, remap);
-  n_ = static_cast<int>(below_.size());
-}
-
 std::vector<RuleIndex> PriorityOrder::Choose(
     const std::vector<RuleIndex>& triggered) const {
   std::vector<RuleIndex> eligible;

@@ -76,24 +76,13 @@ class PriorityOrder {
   /// Number of ordered pairs (i, j) with i > j.
   int num_ordered_pairs() const { return static_cast<int>(ordered_pairs_); }
 
-  /// Per-edit maintenance of the closure, for IncrementalAnalyzer's stable
-  /// rule slots. AppendRule() adds an unordered rule as index num_rules().
-  void AppendRule();
-
-  /// Adds hi > lo and closes under transitivity: every rule at or above hi
-  /// gains every rule at or below lo. Returns false, leaving the order
-  /// unchanged, when the edge would close a cycle.
-  bool AddEdge(RuleIndex hi, RuleIndex lo);
-
-  /// Unorders rule r. `direct` holds the direct hi -> lo edges that remain
-  /// (none of them touching r); only the rules above r can lose lower
-  /// rules, so only their rows are re-derived from it.
-  void RemoveRule(RuleIndex r,
-                  const std::vector<std::vector<RuleIndex>>& direct);
-
-  /// Renumbers rule s as remap[s] (rule_index.h's DropTombstones); rules
-  /// mapped to -1 must be unordered.
-  void Compact(const std::vector<RuleIndex>& remap);
+  /// Adds an unordered rule as index num_rules(): IncrementalAnalyzer's
+  /// new slot for a rule that no priority clause involves.
+  void AppendRule() {
+    ++n_;
+    below_.emplace_back();
+    above_.emplace_back();
+  }
 
  private:
   /// Closes the direct-edge lists under transitivity and checks strictness.

@@ -37,6 +37,20 @@ std::string InsertStatement(const TenantShape& shape, SplitMix64* rng) {
   return stmt;
 }
 
+/// The body of a committed transition: it empties the tenant's rule tables
+/// and inserts one row. Rule actions insert single rows and the catalog is
+/// terminating, so afterwards the tables hold that row plus what one rule
+/// cascade inserts, however many commits came before. (Inserting alone
+/// would grow the tables with every commit, and the rules' set-oriented
+/// updates, which scan them, would slow down as a run goes on.)
+std::string CommittedWrite(const TenantShape& shape, SplitMix64* rng) {
+  std::string body;
+  for (const std::string& table : shape.table_names) {
+    body += "delete from " + table + "\n";
+  }
+  return body + InsertStatement(shape, rng);
+}
+
 /// Commits `rows` rows into `tenant`'s ballast table, one multi-row insert
 /// of at most kRowsPerRequest rows per transition.
 Status PreloadBallast(HttpClientConnection* setup, const std::string& tenant,
@@ -211,13 +225,15 @@ Result<LoadGenReport> RunLoadGen(const LoadGenOptions& options) {
         } else if (draw < options.stats_fraction + options.analyze_fraction) {
           target = "/v1/tenants/" + shape.name + "/analyze";
         } else {
-          // Transitions run with commit=0 so a long run does not grow the
-          // tenant databases without bound (a commit=1 sprinkle keeps the
-          // write-back path hot).
+          // Transitions are dry runs (commit=0), reverted after the
+          // cascade; a 1% sprinkle of commits keeps the write-back path
+          // hot, and each of them resets the rule tables (CommittedWrite),
+          // so a long run does not grow the tenant databases.
           bool commit = rng.Chance(0.01);
           target = "/v1/tenants/" + shape.name +
                    (commit ? "/transition" : "/transition?commit=0");
-          body = InsertStatement(shape, &rng);
+          body = commit ? CommittedWrite(shape, &rng)
+                        : InsertStatement(shape, &rng);
         }
 
         const auto t0 = std::chrono::steady_clock::now();
