@@ -239,8 +239,8 @@ int main(int argc, char** argv) {
     std::printf(
         "incremental re-certification: %.2f%% of full analysis "
         "(baseline %.2f%%, limit %.1f%%)\n"
-        "  warm edit %.0f ns = remove %.0f + add %.0f + analyze %.0f; "
-        "cold %.0f ns\n",
+        "  warm edit %.0f ns (of which remove %.0f, add %.0f, analyze "
+        "%.0f); cold %.0f ns\n",
         100 * ratio, 100 * baseline_ratio, 100 * max_ratio, m.warm_ns,
         m.warm_remove_ns, m.warm_add_ns, m.warm_analyze_ns, m.cold_ns);
     if (ratio > max_ratio) {
@@ -289,7 +289,7 @@ int main(int argc, char** argv) {
                 "%ld reused, %ld components reused)\n",
                 m.warm_ns, m.warm_pairs_computed, m.warm_pairs_reused,
                 m.warm_components_reused);
-    std::printf("  remove %.0f ns + add %.0f ns + analyze %.0f ns\n",
+    std::printf("  of which remove %.0f ns, add %.0f ns, analyze %.0f ns\n",
                 m.warm_remove_ns, m.warm_add_ns, m.warm_analyze_ns);
     std::printf("warm/cold ratio: %.3f%%  (speedup %.0fx)\n", 100 * ratio,
                 speedup);
